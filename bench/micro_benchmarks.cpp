@@ -148,7 +148,7 @@ void BM_CalendarQueueHold(benchmark::State& state) {
     benchmark::DoNotOptimize(queue.size());
   }
 }
-BENCHMARK(BM_CalendarQueueHold)->Arg(10000)->Arg(1000000);
+BENCHMARK(BM_CalendarQueueHold)->Arg(10000)->Arg(300000)->Arg(1000000);
 
 /// One Δt of the full event-engine push-pull run (typed records, arena
 /// payloads, batched same-timestamp delivery) — the end-to-end number the

@@ -28,6 +28,7 @@ bool EventEngine::run_next() {
 void EventEngine::run_until(SimTime t_end) {
   CalendarQueue<Callback>::Entry event;
   while (queue_.pop_min_if(t_end, event)) {
+    EPIAGG_ASSERT(event.time >= now_, "event queue time went backwards");
     now_ = event.time;
     ++processed_;
     event.payload();

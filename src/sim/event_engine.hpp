@@ -10,13 +10,22 @@
 // amortized at the 10^5–10^7 pending-event scales the benches hit, where a
 // std::priority_queue pays log(n) compares — and heap-moves its payload —
 // on every operation. Pop order is EXACTLY ascending (time, sequence), bit-
-// identical to the old heap comparator; docs/api.md "Event-engine
-// internals" carries the design note and the monotonicity argument.
+// identical to the old heap comparator.
+//
+// Storage is memory-flat: every entry lives in ONE slot pool (fixed blocks,
+// so growth never moves an entry) recycled through a LIFO free list, and a
+// lane is just the {head, tail} of an intrusive singly linked list threaded
+// through a parallel array of 32-bit next-links. The queue therefore holds
+// ~peak pending × (sizeof(Entry) + 4) bytes plus 8 bytes per lane, however
+// many year rotations and resizes it goes through; a rebuild re-links slot
+// indices and never moves an entry. docs/api.md "Event-engine internals"
+// carries the design note; the class comment below, the ordering argument.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -29,7 +38,7 @@ namespace epiagg {
 /// A calendar queue over `(time, sequence, payload)` entries, popped in
 /// ascending `(time, sequence)` order.
 ///
-/// Geometry: `buckets_.size()` lanes of `width_` simulated seconds starting
+/// Geometry: `lanes_.size()` lanes of `width_` simulated seconds starting
 /// at `year_start_`; an entry maps to lane `floor((t - year_start_) /
 /// width_)` (clamped at 0), or to the unsorted overflow tier when that
 /// index falls past the last lane. The mapping is a clamped floor of a
@@ -40,9 +49,12 @@ namespace epiagg {
 /// drain the calendar rotates: a new year is anchored at the overflow
 /// minimum and the tier is re-bucketed. The lane count tracks the pending
 /// count (power-of-two resize, O(n) rebuild amortized over the >= n
-/// operations that changed the size), keeping ~1 entry per lane so the
-/// sorted insert is O(1) in the common case — and an exact FIFO append for
-/// equal-timestamp bursts.
+/// operations that changed the size), keeping a few entries per lane so
+/// the sorted insert is O(1) in the common case — and an exact FIFO append
+/// for equal-timestamp bursts.
+///
+/// Payloads are moved into a pooled slot on push and moved out on pop, so a
+/// popped slot keeps no reference to its payload.
 template <typename P>
 class CalendarQueue {
 public:
@@ -52,36 +64,54 @@ public:
     P payload;
   };
 
-  CalendarQueue() : buckets_(kMinBuckets) {}
+  /// Entry slots per pool block; the pool grows one block at a time.
+  static constexpr std::size_t kBlockEntries = 4096;
+
+  CalendarQueue() : lanes_(kMinBuckets) {}
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Lanes currently allocated (resize/rotation observability for tests).
   [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return buckets_.size();
+    return lanes_.size();
   }
   /// Entries currently parked in the overflow tier.
   [[nodiscard]] std::size_t overflow_count() const noexcept {
     return overflow_.size();
   }
+  /// Entry slots ever allocated: the pending high-water mark rounded up to
+  /// whole blocks. Never shrinks; freed slots are reused first.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Rebuilds so far (year rotations plus lane-count resizes).
+  [[nodiscard]] std::uint64_t rebuilds() const noexcept { return rebuilds_; }
+  /// Largest size() ever reached.
+  [[nodiscard]] std::size_t peak_size() const noexcept { return peak_size_; }
 
   void push(SimTime time, std::uint64_t sequence, P payload) {
-    insert_entry(Entry{time, sequence, std::move(payload)});
-    if (size_ > buckets_.size() * kGrowOccupancy &&
-        buckets_.size() < kMaxBuckets) {
+    const std::uint32_t slot = acquire_slot();
+    Entry& entry = at(slot);
+    entry.time = time;
+    entry.sequence = sequence;
+    entry.payload = std::move(payload);
+    link(slot);
+    ++size_;
+    peak_size_ = std::max(peak_size_, size_);
+    if (size_ > lanes_.size() * kGrowOccupancy &&
+        lanes_.size() < kMaxBuckets) {
       rebuild();
     }
   }
 
   /// Timestamp of the earliest entry. Requires !empty(); may advance the
   /// lane cursor or rotate the year (amortized O(1)).
-  [[nodiscard]] SimTime min_time() { return front_entry().time; }
+  [[nodiscard]] SimTime min_time() { return at(front_slot()).time; }
 
   /// Removes and returns the earliest entry. Requires !empty().
   Entry pop_min() {
-    Entry out = std::move(front_entry());
-    advance_past_front();
+    const std::uint32_t slot = front_slot();
+    Entry out = std::move(at(slot));
+    release_front(slot);
     return out;
   }
 
@@ -91,20 +121,25 @@ public:
   /// event; this is the fused form.
   bool pop_min_if(SimTime t_end, Entry& out) {
     if (size_ == 0) return false;
-    Entry& front = front_entry();
+    const std::uint32_t slot = front_slot();
+    Entry& front = at(slot);
     if (front.time > t_end) return false;
     out = std::move(front);
-    advance_past_front();
+    release_front(slot);
     return true;
   }
 
 private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// An intrusive list of slots, ascending (time, sequence) from `head`.
   struct Lane {
-    std::vector<Entry> items;  // ascending (time, sequence) from `head`
-    std::size_t head = 0;      // popped entries linger as moved-out husks
-    [[nodiscard]] bool drained() const noexcept {
-      return head >= items.size();
-    }
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  /// Cache-line aligned, so 64-byte entries never straddle two lines.
+  struct alignas(64) Block {
+    Entry entries[kBlockEntries];
   };
 
   static constexpr std::size_t kMinBuckets = 16;
@@ -118,68 +153,97 @@ private:
     return a.sequence < b.sequence;
   }
 
+  [[nodiscard]] Entry& at(std::uint32_t slot) noexcept {
+    return blocks_[slot / kBlockEntries]->entries[slot % kBlockEntries];
+  }
+
+  /// A free slot: the most recently released one (still warm in cache),
+  /// else a fresh one, growing the pool by a block when it is full.
+  std::uint32_t acquire_slot() {
+    if (free_head_ != kNil) {
+      const std::uint32_t slot = free_head_;
+      free_head_ = next_[slot];
+      return slot;
+    }
+    if (capacity_ == blocks_.size() * kBlockEntries) {
+      EPIAGG_ASSERT(capacity_ + kBlockEntries <= kNil,
+                    "calendar queue slot pool exhausted");
+      blocks_.push_back(std::make_unique<Block>());
+      next_.resize(capacity_ + kBlockEntries, kNil);
+    }
+    return static_cast<std::uint32_t>(capacity_++);
+  }
+
   /// Maps `t` to its lane, or returns false for the overflow tier. Clamped
   /// floor of a monotone function: never decreasing in `t`.
   bool lane_index(SimTime t, std::size_t& idx) const {
     const double offset = (t - year_start_) / width_;
-    if (offset >= static_cast<double>(buckets_.size())) return false;
+    if (offset >= static_cast<double>(lanes_.size())) return false;
     idx = offset <= 0.0 ? 0 : static_cast<std::size_t>(offset);
-    return idx < buckets_.size();
+    return idx < lanes_.size();
   }
 
-  void insert_entry(Entry entry) {
+  /// Threads `slot` into its lane (after every entry not later than it)
+  /// or parks it in the overflow tier.
+  void link(std::uint32_t slot) {
+    const Entry& entry = at(slot);
     std::size_t idx = 0;
     if (!lane_index(entry.time, idx)) {
-      overflow_.push_back(std::move(entry));
-      ++size_;
+      overflow_.push_back(slot);
       return;
     }
-    Lane& lane = buckets_[idx];
-    if (lane.drained()) {
-      lane.items.clear();
-      lane.head = 0;
-    }
-    if (lane.items.empty() || entry_less(lane.items.back(), entry)) {
-      lane.items.push_back(std::move(entry));  // FIFO fast path
+    Lane& lane = lanes_[idx];
+    if (lane.head == kNil) {
+      lane.head = slot;
+      lane.tail = slot;
+      next_[slot] = kNil;
+    } else if (!entry_less(entry, at(lane.tail))) {
+      next_[lane.tail] = slot;  // FIFO fast path
+      next_[slot] = kNil;
+      lane.tail = slot;
     } else {
-      const auto pos =
-          std::upper_bound(lane.items.begin() + lane.head, lane.items.end(),
-                           entry, entry_less);
-      lane.items.insert(pos, std::move(entry));
+      // The tail is later than `entry`, so the walk stops before it ends.
+      std::uint32_t prev = kNil;
+      std::uint32_t cur = lane.head;
+      while (!entry_less(entry, at(cur))) {
+        prev = cur;
+        cur = next_[cur];
+      }
+      next_[slot] = cur;
+      if (prev == kNil) {
+        lane.head = slot;
+      } else {
+        next_[prev] = slot;
+      }
     }
     // A lane the cursor already passed can receive entries again (anything
     // scheduled at the current time after its lane drained); pull the
     // cursor back so the scan never strands them.
     if (idx < cursor_) cursor_ = idx;
-    ++size_;
   }
 
-  /// Consumes the entry front_entry() just returned (its lane is at
-  /// cursor_). Shared tail of pop_min / pop_min_if.
-  void advance_past_front() {
-    Lane& lane = buckets_[cursor_];
-    ++lane.head;
-    if (lane.head >= lane.items.size()) {
-      lane.items.clear();
-      lane.head = 0;
-    }
+  /// Unlinks the slot front_slot() just returned (the head of the lane at
+  /// cursor_) and frees it. Shared tail of pop_min / pop_min_if.
+  void release_front(std::uint32_t slot) {
+    Lane& lane = lanes_[cursor_];
+    lane.head = next_[slot];
+    if (lane.head == kNil) lane.tail = kNil;
+    next_[slot] = free_head_;
+    free_head_ = slot;
     --size_;
-    if (size_ * kShrinkOccupancy < buckets_.size() &&
-        buckets_.size() > kMinBuckets) {
+    if (size_ * kShrinkOccupancy < lanes_.size() &&
+        lanes_.size() > kMinBuckets) {
       rebuild();
     }
   }
 
-  /// The earliest entry: first item of the first non-drained lane, rotating
+  /// The earliest entry's slot: head of the first non-empty lane, rotating
   /// the year when only the overflow tier remains. Requires !empty().
-  Entry& front_entry() {
+  std::uint32_t front_slot() {
     for (;;) {
-      while (cursor_ < buckets_.size() && buckets_[cursor_].drained())
+      while (cursor_ < lanes_.size() && lanes_[cursor_].head == kNil)
         ++cursor_;
-      if (cursor_ < buckets_.size()) {
-        Lane& lane = buckets_[cursor_];
-        return lane.items[lane.head];
-      }
+      if (cursor_ < lanes_.size()) return lanes_[cursor_].head;
       EPIAGG_ASSERT(!overflow_.empty(),
                     "calendar queue scan on an empty queue");
       rebuild();  // new year anchored at the overflow minimum
@@ -188,39 +252,40 @@ private:
 
   /// Re-buckets every pending entry with fresh geometry: lane count ~ the
   /// pending count, year anchored at the earliest pending time, width
-  /// spreading the pending span at ~1 entry per lane. The earliest entry
-  /// always lands in lane 0, so rotation makes progress unconditionally.
-  /// Lane vectors are recycled whenever the lane count is unchanged (the
-  /// common year-rotation case): clear() keeps their capacity, so a steady-
-  /// state rotation performs ZERO allocations past the first year.
+  /// spreading the pending span over 1/kYearSlack of the lanes. The earliest
+  /// entry always lands in lane 0, so rotation makes progress
+  /// unconditionally. Only slot indices move: the lanes (in order) and then
+  /// the overflow tier are spliced into one chain, which is re-linked into
+  /// fresh lanes.
   void rebuild() {
-    scratch_.clear();
-    scratch_.reserve(size_);
-    for (Lane& lane : buckets_)
-      for (std::size_t i = lane.head; i < lane.items.size(); ++i)
-        scratch_.push_back(std::move(lane.items[i]));
-    for (Entry& entry : overflow_) scratch_.push_back(std::move(entry));
+    ++rebuilds_;
+    std::uint32_t chain = kNil;
+    std::uint32_t chain_tail = kNil;
+    const auto splice = [&](std::uint32_t first, std::uint32_t last) {
+      if (chain == kNil) {
+        chain = first;
+      } else {
+        next_[chain_tail] = first;
+      }
+      chain_tail = last;
+    };
+    for (const Lane& lane : lanes_)
+      if (lane.head != kNil) splice(lane.head, lane.tail);
+    for (const std::uint32_t slot : overflow_) splice(slot, slot);
+    if (chain_tail != kNil) next_[chain_tail] = kNil;
     overflow_.clear();
 
     std::size_t lanes = kMinBuckets;
-    while (lanes < scratch_.size() && lanes < kMaxBuckets) lanes <<= 1;
-    if (lanes == buckets_.size()) {
-      for (Lane& lane : buckets_) {
-        lane.items.clear();
-        lane.head = 0;
-      }
-    } else {
-      buckets_.assign(lanes, Lane{});
-    }
+    while (lanes < size_ && lanes < kMaxBuckets) lanes <<= 1;
+    lanes_.assign(lanes, Lane{});
     cursor_ = 0;
-    size_ = 0;
-    if (scratch_.empty()) return;
+    if (chain == kNil) return;
 
-    SimTime lo = scratch_.front().time;
-    SimTime hi = scratch_.front().time;
-    for (const Entry& entry : scratch_) {
-      lo = std::min(lo, entry.time);
-      hi = std::max(hi, entry.time);
+    SimTime lo = at(chain).time;
+    SimTime hi = lo;
+    for (std::uint32_t slot = chain; slot != kNil; slot = next_[slot]) {
+      lo = std::min(lo, at(slot).time);
+      hi = std::max(hi, at(slot).time);
     }
     year_start_ = lo;
     const double span = hi - lo;
@@ -232,18 +297,27 @@ private:
                  ? span * static_cast<double>(kYearSlack) /
                        static_cast<double>(lanes)
                  : 1.0;
-    for (Entry& entry : scratch_) insert_entry(std::move(entry));
-    scratch_.clear();
+    for (std::uint32_t slot = chain; slot != kNil;) {
+      const std::uint32_t following = next_[slot];
+      link(slot);
+      slot = following;
+    }
   }
 
-  std::vector<Lane> buckets_;
-  std::vector<Entry> overflow_;  // unsorted; strictly later than any lane
-  std::vector<Entry> scratch_;   // rebuild staging, recycled across years
-  std::size_t cursor_ = 0;       // lanes below are drained (or refilled
-                                 // with a cursor pull-back on insert)
+  std::vector<std::unique_ptr<Block>> blocks_;  // the slot pool
+  std::vector<std::uint32_t> next_;  // per slot: lane successor or next free
+  std::uint32_t free_head_ = kNil;   // LIFO free list through next_
+  std::size_t capacity_ = 0;         // slots handed out so far
+  std::vector<Lane> lanes_;
+  std::vector<std::uint32_t> overflow_;  // unsorted; strictly later than any
+                                         // lane entry
+  std::size_t cursor_ = 0;  // lanes below are empty (or refilled with a
+                            // cursor pull-back on insert)
   SimTime year_start_ = 0.0;
   double width_ = 1.0;
   std::size_t size_ = 0;
+  std::size_t peak_size_ = 0;
+  std::uint64_t rebuilds_ = 0;
 };
 
 /// A deterministic discrete-event scheduler.

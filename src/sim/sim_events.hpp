@@ -55,10 +55,11 @@ enum class EvKind : std::uint8_t {
 };
 
 /// Field order packs the record into 48 bytes, so a queue Entry — `(time,
-/// sequence, record)` — is exactly one 64-byte cache line. The generation
-/// guards are 32-bit on the wire: they only ever compare for EQUALITY
-/// against a counter bumped once per crash of one slot, so wrap-around
-/// would need 2^32 crashes of a single node within one message's flight.
+/// sequence, record)` — is exactly 64 bytes: one cache line in the queue's
+/// line-aligned slot pool. The generation guards are 32-bit on the wire:
+/// they only ever compare for EQUALITY against a counter bumped once per
+/// crash of one slot, so wrap-around would need 2^32 crashes of a single
+/// node within one message's flight.
 struct SimEventRecord {
   double v0 = 0.0;
   double v1 = 0.0;
@@ -70,9 +71,9 @@ struct SimEventRecord {
   std::uint32_t slab = kNoSlab;
   EvKind kind = EvKind::kWake;
 };
-static_assert(sizeof(SimEventRecord) == 48,
-              "SimEventRecord must keep a CalendarQueue Entry at one cache "
-              "line (64 bytes)");
+static_assert(sizeof(CalendarQueue<SimEventRecord>::Entry) == 64,
+              "a CalendarQueue slot must stay one 64-byte cache line: "
+              "SimEventRecord must pack into 48 bytes");
 
 /// A deterministic scheduler of SimEventRecords: same `(time, sequence)`
 /// contract as EventEngine, no type erasure on the hot path.
@@ -137,6 +138,15 @@ public:
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
+  }
+  /// Calendar-queue rebuilds (year rotations plus lane resizes) so far.
+  /// Like peak_pending(), a pure function of the schedule: no clock, no RNG.
+  [[nodiscard]] std::uint64_t queue_rebuilds() const noexcept {
+    return queue_.rebuilds();
+  }
+  /// Largest pending() ever reached.
+  [[nodiscard]] std::size_t peak_pending() const noexcept {
+    return queue_.peak_size();
   }
 
 private:
