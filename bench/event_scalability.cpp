@@ -47,9 +47,9 @@ Simulation build_sim(double protocol, bool event_engine, NodeId n,
   builder.nodes(n).seed(seed);
   if (event_engine) builder.engine(EngineKind::kEvent);
   if (protocol == kPushPullRow) {
-    // Epoch restarts keep the event path on the dynamic message-passing
-    // impl (the continuous static config is served by the historical
-    // AsyncAveragingSim fast path, which is not what this sweep tracks).
+    // Epoch restarts every 30 cycles, as in every recorded row of this
+    // sweep: dropping them would remove the per-epoch snapshot work from
+    // the timed window and break the comparison with the BENCH history.
     builder.workload(WorkloadSpec::from_distribution(ValueDistribution::kNormal))
         .epoch_length(30);
   } else if (protocol == kPushSumRow) {

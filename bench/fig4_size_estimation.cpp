@@ -9,8 +9,8 @@
 //
 // The whole experiment is one SimulationBuilder chain with
 // ProtocolVariant::kSizeEstimation; an EpochLog observer collects the
-// per-epoch reports. The chain reproduces the historical hand-wired
-// SizeEstimationNetwork run byte for byte (same seed, same RNG stream).
+// per-epoch reports. Every random decision derives from the one seed, so a
+// rerun reproduces the figure byte for byte.
 //
 // Expected shape (paper): the estimate curve equals the actual-size curve
 // translated by one epoch (new nodes do not participate in the running

@@ -136,7 +136,7 @@ def _strip_comments_and_strings(line: str, in_block_comment: bool) -> tuple[str,
 
 
 def _base_identifier(expr: str) -> str:
-    """`store.slots()` -> `store`, `targets` -> `targets`, `*p` -> `p`."""
+    """`store.planes()` -> `store`, `targets` -> `targets`, `*p` -> `p`."""
     expr = expr.strip()
     m = re.match(r"[*&\s(]*([A-Za-z_]\w*)", expr)
     return m.group(1) if m else ""

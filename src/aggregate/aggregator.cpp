@@ -121,15 +121,6 @@ Registry& registry() {
   return instance;
 }
 
-[[nodiscard]] const char* builtin_name(Combiner combiner) {
-  switch (combiner) {
-    case Combiner::kAverage: return "average";
-    case Combiner::kMax: return "maximum";
-    case Combiner::kMin: return "minimum";
-  }
-  EPIAGG_UNREACHABLE();
-}
-
 }  // namespace
 
 const AggregatorDef* find_aggregator(std::string_view name) {
@@ -181,18 +172,6 @@ AggregatorSpec AggregatorSpec::windowed_mean(std::string label,
   return {std::move(label), "windowed-mean", window};
 }
 
-AggregatorPlan AggregatorPlan::from_combiners(
-    std::span<const Combiner> combiners) {
-  AggregatorPlan plan;
-  for (const Combiner combiner : combiners) {
-    const AggregatorDef* def = find_aggregator(builtin_name(combiner));
-    plan.instances_.push_back({def, 0.0, plan.plane_combiners_.size(),
-                               std::string(to_string(combiner))});
-    plan.plane_combiners_.push_back(combiner);
-  }
-  return plan;
-}
-
 AggregatorPlan AggregatorPlan::from_specs(
     std::span<const AggregatorSpec> specs) {
   AggregatorPlan plan;
@@ -205,8 +184,6 @@ AggregatorPlan AggregatorPlan::from_specs(
     plan.plane_combiners_.insert(plan.plane_combiners_.end(),
                                  def->plane_combiners.begin(),
                                  def->plane_combiners.end());
-    if (def->width != 1 || def->decay != nullptr || def->windowed)
-      plan.legacy_ = false;
     if (def->decay != nullptr || def->windowed) plan.dynamics_ = true;
   }
   return plan;

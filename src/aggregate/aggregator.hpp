@@ -106,17 +106,11 @@ struct AggregatorInstance {
 
 /// The flattened execution plan the engines run: instances laid out over
 /// consecutive planes, plus the per-plane combiner vector that the
-/// batched store kernels consume directly. Legacy configurations (enum
-/// combiners, `.slots(...)`) flatten to width-1 instances whose
-/// plane_combiners() vector is byte-for-byte the vector the engines used
-/// before this API existed.
+/// batched store kernels consume directly. The width-1 builtins (average,
+/// maximum, minimum) each contribute exactly one plane of their combiner.
 class AggregatorPlan {
  public:
   AggregatorPlan() = default;
-
-  /// Legacy bridge: one width-1 builtin instance per combiner, in order.
-  [[nodiscard]] static AggregatorPlan from_combiners(
-      std::span<const Combiner> combiners);
 
   /// Builds from validated specs. Precondition: every kind is registered
   /// and every parameter is in range (the builder checks first and
@@ -131,11 +125,6 @@ class AggregatorPlan {
     return plane_combiners_;
   }
   [[nodiscard]] std::size_t planes() const { return plane_combiners_.size(); }
-
-  /// True when every instance is a width-1 kind with no decay/window
-  /// kernel — the plan is then an exact alias of the pre-registry
-  /// combiner vector and every legacy code path stays byte-identical.
-  [[nodiscard]] bool legacy() const { return legacy_; }
 
   /// True when any instance carries a decay kernel or a window — the
   /// engines then run the per-cycle decay/window pass.
@@ -152,7 +141,6 @@ class AggregatorPlan {
  private:
   std::vector<AggregatorInstance> instances_;
   std::vector<Combiner> plane_combiners_;
-  bool legacy_ = true;
   bool dynamics_ = false;
 };
 

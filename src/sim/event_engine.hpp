@@ -1,6 +1,7 @@
-// Discrete-event simulation engine.
+// Discrete-event building blocks: the calendar queue that SimEventEngine
+// (sim/sim_events.hpp) schedules on, and the message latency models.
 //
-// Supports the paper's asynchronous reading of the protocol: each node is
+// They support the paper's asynchronous reading of the protocol: each node is
 // autonomous, waking after GETWAITINGTIME (constant Δt or exponentially
 // distributed) and exchanging messages that may take time and may be lost.
 // Determinism: events at equal timestamps fire in scheduling order.
@@ -24,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -320,42 +320,6 @@ private:
   std::uint64_t rebuilds_ = 0;
 };
 
-/// A deterministic discrete-event scheduler.
-class EventEngine {
-public:
-  using Callback = std::function<void()>;
-
-  /// Current simulated time. Starts at 0.
-  [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// Schedules `callback` at absolute time `t` (>= now()).
-  void schedule_at(SimTime t, Callback callback);
-
-  /// Schedules `callback` `delay` time units from now (delay >= 0).
-  void schedule_after(SimTime delay, Callback callback);
-
-  /// Executes the next event; returns false if the queue is empty.
-  bool run_next();
-
-  /// Runs events until simulated time exceeds `t_end` or the queue drains.
-  /// Events scheduled exactly at t_end are executed.
-  void run_until(SimTime t_end);
-
-  /// Runs until the queue is empty. Caller is responsible for termination.
-  void run_all();
-
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
-  [[nodiscard]] std::uint64_t events_processed() const noexcept {
-    return processed_;
-  }
-
-private:
-  CalendarQueue<Callback> queue_;
-  SimTime now_ = 0.0;
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t processed_ = 0;
-};
-
 /// Message latency models for the asynchronous protocol mode.
 class LatencyModel {
 public:
@@ -403,20 +367,6 @@ public:
 
 private:
   double rate_;
-};
-
-/// Independent per-message Bernoulli loss.
-class LossModel {
-public:
-  explicit LossModel(double loss_probability) : p_(loss_probability) {
-    EPIAGG_EXPECTS(loss_probability >= 0.0 && loss_probability <= 1.0,
-                   "loss probability must be in [0,1]");
-  }
-  [[nodiscard]] bool lost(Rng& rng) const { return p_ > 0.0 && rng.bernoulli(p_); }
-  [[nodiscard]] double probability() const noexcept { return p_; }
-
-private:
-  double p_;
 };
 
 }  // namespace epiagg

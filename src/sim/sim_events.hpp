@@ -1,22 +1,22 @@
 // Typed POD event records for the message-based simulation impls.
 //
-// The generic EventEngine erases every event behind a heap-allocating
-// `std::function<void()>`; at 10^5+ nodes that is one allocation (plus a
-// captured payload vector) per message. The simulation impls instead
-// schedule fixed-size `SimEventRecord`s on a `SimEventEngine` — a calendar
-// queue of plain structs — and dispatch them through one switch
-// (simulation_event.cpp). Payloads ride inline in the record when they fit
-// (one double plane, push-sum mass halves) or in a recycled arena slot
-// (payload_arena.hpp) when they don't. A `Callback` escape hatch remains
-// for rare control events that genuinely need a closure; its slots are
-// free-listed too.
+// Erasing every event behind a heap-allocating `std::function<void()>` would
+// cost one allocation (plus a captured payload vector) per message at 10^5+
+// nodes. The simulation impls instead schedule fixed-size `SimEventRecord`s
+// on a `SimEventEngine` — a calendar queue of plain structs — and dispatch
+// them through one switch (simulation_event.cpp). Payloads ride inline in
+// the record when they fit (one double plane, push-sum mass halves) or in a
+// recycled arena slot (payload_arena.hpp) when they don't. A `Callback`
+// escape hatch remains for rare control events that genuinely need a
+// closure; its slots are free-listed too.
 //
-// Determinism: records pop in exactly the `(time, sequence)` order the old
-// closures did — scheduling sites map 1:1, so sequence numbers, RNG draw
-// order and audit-scope entries are unchanged.
+// Determinism: records pop in ascending `(time, sequence)` order, the
+// sequence being the scheduling order, so events at equal timestamps fire
+// first-in first-out and a run is a pure function of its seed.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -75,8 +75,10 @@ static_assert(sizeof(CalendarQueue<SimEventRecord>::Entry) == 64,
               "a CalendarQueue slot must stay one 64-byte cache line: "
               "SimEventRecord must pack into 48 bytes");
 
-/// A deterministic scheduler of SimEventRecords: same `(time, sequence)`
-/// contract as EventEngine, no type erasure on the hot path.
+/// A deterministic scheduler of SimEventRecords: pops in ascending `(time,
+/// sequence)` order (FIFO among equal times), `run_until` boundaries are
+/// inclusive, scheduling into the past is rejected, and there is no type
+/// erasure on the hot path.
 class SimEventEngine {
 public:
   using Callback = std::function<void()>;

@@ -60,7 +60,6 @@ std::string_view to_string(EngineKind kind) {
 std::string_view to_string(ProtocolVariant variant) {
   switch (variant) {
     case ProtocolVariant::kPushPullAverage: return "push-pull-average";
-    case ProtocolVariant::kMultiAggregate: return "multi-aggregate";
     case ProtocolVariant::kPushSum: return "push-sum";
     case ProtocolVariant::kSizeEstimation: return "size-estimation";
   }
@@ -310,13 +309,7 @@ public:
         store_(combiners_.size(), initial),
         loss_(loss),
         adversary_(std::move(adversary)) {
-    // Multi-width instances need their kernel-seeded state; legacy plans
-    // skip the pass so their planes stay exactly the ctor's copies.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < store_.capacity(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
+    seed_initial_state(store_, plan_, initial);
     truth_ = exact_answer(combiners_.front(), store_.attributes(0));
     epoch_start_cycle_ = 0;
     want_impact_ = adversary_ != nullptr && want_attack_impact();
@@ -485,13 +478,7 @@ public:
         store_(combiners_.size(), initial),
         loss_(loss),
         adversary_(std::move(adversary)) {
-    // Multi-width instances need their kernel-seeded state; legacy plans
-    // skip the pass so their planes stay exactly the ctor's copies.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < initial.size(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
+    seed_initial_state(store_, plan_, initial);
     for (NodeId id = 0; id < initial.size(); ++id) alive_.insert(id);
     want_impact_ = adversary_ != nullptr && want_attack_impact();
     want_tracking_ = want_tracking_error();
@@ -688,13 +675,7 @@ public:
         store_(combiners_.size(), initial),
         loss_(loss),
         adversary_(std::move(adversary)) {
-    // Multi-width instances need their kernel-seeded state; legacy plans
-    // skip the pass so their planes stay exactly the ctor's copies.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < initial.size(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
+    seed_initial_state(store_, plan_, initial);
     for (const auto& observer : observers_)
       want_health_ = want_health_ || observer->wants_overlay_health();
     want_impact_ = adversary_ != nullptr && want_attack_impact();
@@ -904,12 +885,11 @@ private:
 // SizeEstimationImpl — §4 counting instances with epoch restarts
 // ===================================================================
 //
-// The Fig. 4 machinery. The cycle structure (churn → exchanges → boundary
-// restart) and every RNG draw mirror the original SizeEstimationNetwork so
-// the preset in protocol/network_runner.hpp reproduces historical runs
-// exactly. The NodeStateStore carries the per-node persistent state — the
-// size prior lives in the (single) attribute plane, participation in the
-// packed bitmap — and manages slot id recycling; the InstanceSets stay in a
+// The Fig. 4 machinery: churn → exchanges → boundary restart per cycle,
+// with the draw order pinned by the Fig. 4 pipeline tests. The
+// NodeStateStore carries the per-node persistent state — the size prior
+// lives in the (single) attribute plane, participation in the packed
+// bitmap — and manages slot id recycling; the InstanceSets stay in a
 // parallel array (they are growable protocol state, not a value plane).
 // Unlike the averaging impls there is no plane-wise merge to batch draws
 // for — InstanceSet exchanges are growable-set merges — so the sweep stays
@@ -1320,10 +1300,6 @@ SimulationBuilder& SimulationBuilder::epoch_length(std::size_t cycles) {
   epoch_length_set_ = true;
   return *this;
 }
-SimulationBuilder& SimulationBuilder::slots(std::vector<SlotSpec> specs) {
-  slots_ = std::move(specs);
-  return *this;
-}
 SimulationBuilder& SimulationBuilder::aggregates(
     std::vector<AggregatorSpec> specs) {
   aggregates_ = std::move(specs);
@@ -1378,8 +1354,7 @@ SimulationBuilder& SimulationBuilder::entropy(std::shared_ptr<Rng> rng) {
 }
 
 Simulation SimulationBuilder::build() {
-  const bool averaging = protocol_ == ProtocolVariant::kPushPullAverage ||
-                         protocol_ == ProtocolVariant::kMultiAggregate;
+  const bool averaging = protocol_ == ProtocolVariant::kPushPullAverage;
   const bool has_churn = failures_.churn != nullptr;
   const bool has_membership = membership_.kind != MembershipSpec::Kind::kNone;
   const bool live_membership =
@@ -1435,8 +1410,7 @@ Simulation SimulationBuilder::build() {
     EPIAGG_EXPECTS(averaging,
                    "adaptive epochs restart the averaging family only; "
                    "kSizeEstimation and kPushSum keep their own restart / "
-                   "round structure — use kPushPullAverage or "
-                   "kMultiAggregate");
+                   "round structure — use kPushPullAverage");
     EPIAGG_EXPECTS(!waiting_set_ || waiting_ == WaitingTime::kConstant,
                    "adaptive epochs divide each node's local ΔT clock (a "
                    "constant period with bounded drift) into epochs; "
@@ -1488,18 +1462,8 @@ Simulation SimulationBuilder::build() {
 
   // ---- protocol-level conflicts ----
   const bool has_aggregates = !aggregates_.empty();
-  EPIAGG_EXPECTS(!(has_aggregates && !slots_.empty()),
-                 ".aggregates(...) subsumes .slots(...); declare the "
-                 "aggregate list once — each SlotSpec converts via "
-                 "to_aggregator_spec(...)");
   switch (protocol_) {
     case ProtocolVariant::kPushPullAverage:
-      EPIAGG_EXPECTS(slots_.empty(),
-                     "slot declarations belong to "
-                     "ProtocolVariant::kMultiAggregate; switch the protocol "
-                     "or drop .slots(...)");
-      break;
-    case ProtocolVariant::kMultiAggregate:
       break;
     case ProtocolVariant::kPushSum:
       EPIAGG_EXPECTS(!has_aggregates,
@@ -1522,8 +1486,6 @@ Simulation SimulationBuilder::build() {
       EPIAGG_EXPECTS(!activation_set_,
                      "push-sum rounds activate every node once in storage "
                      "order; remove .activation(...)");
-      EPIAGG_EXPECTS(slots_.empty(),
-                     "push-sum estimates a single average; it has no slots");
       break;
     case ProtocolVariant::kSizeEstimation:
       EPIAGG_EXPECTS(!has_aggregates,
@@ -1547,9 +1509,6 @@ Simulation SimulationBuilder::build() {
                      "use a live .membership(...)");
       EPIAGG_EXPECTS(expected_leaders_ > 0.0,
                      "expected leader count must be positive");
-      EPIAGG_EXPECTS(slots_.empty(),
-                     "size estimation has no aggregate slots; remove "
-                     ".slots(...)");
       break;
   }
   if (protocol_ != ProtocolVariant::kSizeEstimation) {
@@ -1560,9 +1519,8 @@ Simulation SimulationBuilder::build() {
   }
 
   // ---- the aggregate plan ----
-  // Validated specs flatten onto consecutive state planes; legacy
-  // configurations (no .aggregates(...)) produce a plan whose
-  // plane_combiners() vector is byte-for-byte the historical one.
+  // Validated specs flatten onto consecutive state planes; without
+  // .aggregates(...) the plan is one plain average.
   AggregatorPlan plan;
   if (has_aggregates) {
     for (const AggregatorSpec& spec : aggregates_) {
@@ -1585,15 +1543,9 @@ Simulation SimulationBuilder::build() {
       }
     }
     plan = AggregatorPlan::from_specs(aggregates_);
-  } else if (!slots_.empty()) {
-    std::vector<AggregatorSpec> specs;
-    specs.reserve(slots_.size());
-    for (const SlotSpec& slot : slots_)
-      specs.push_back(to_aggregator_spec(slot));
-    plan = AggregatorPlan::from_specs(specs);
   } else {
-    const Combiner average[] = {Combiner::kAverage};
-    plan = AggregatorPlan::from_combiners(average);
+    const AggregatorSpec average[] = {AggregatorSpec::average("average")};
+    plan = AggregatorPlan::from_specs(average);
   }
   if (plan.has_dynamics() || workload_.is_time_varying()) {
     EPIAGG_EXPECTS(!adaptive_epochs_,
@@ -1607,8 +1559,7 @@ Simulation SimulationBuilder::build() {
     EPIAGG_EXPECTS(averaging,
                    "time-varying workloads evolve the averaging family's "
                    "attributes each cycle; kPushSum and kSizeEstimation "
-                   "snapshot their inputs once — use kPushPullAverage or "
-                   "kMultiAggregate");
+                   "snapshot their inputs once — use kPushPullAverage");
     EPIAGG_EXPECTS(!workload_.is_explicit(),
                    "a time-varying workload re-samples per-node attributes; "
                    "an explicit value vector cannot evolve — use "
@@ -1688,9 +1639,6 @@ Simulation SimulationBuilder::build() {
     EPIAGG_EXPECTS(adversary_.kind != Kind::kOverlayPoison || live_membership,
                    "overlay poisoning floods LIVE membership views; add a "
                    "live .membership(...) or pick a value-lie adversary");
-    EPIAGG_EXPECTS(protocol_ != ProtocolVariant::kMultiAggregate,
-                   "adversary models rewrite single-aggregate exchanges; "
-                   "kMultiAggregate is not supported — use kPushPullAverage");
     EPIAGG_EXPECTS(!adaptive_epochs_,
                    "adversary models assume the shared epoch grid; remove "
                    ".adaptive_epochs(...) or .adversary(...)");
@@ -1717,10 +1665,8 @@ Simulation SimulationBuilder::build() {
                      "remove .adaptive_epochs(...) or the observer");
     }
   }
-  bool wants_tracking = false;
   for (const auto& observer : observers_) {
     if (!observer->wants_tracking_error()) continue;
-    wants_tracking = true;
     EPIAGG_EXPECTS(averaging,
                    "TrackingErrorObserver reads per-instance aggregator "
                    "estimates; kPushSum and kSizeEstimation have none — use "
@@ -1874,21 +1820,6 @@ Simulation SimulationBuilder::build() {
       return Simulation(detail::make_event_push_sum(
           rng, observers_, std::move(spec), std::move(initial),
           std::move(topology)));
-    }
-    const bool dynamic = has_churn || epoch_length > 0 || adaptive_epochs_ ||
-                         has_adversary || has_mitigation ||
-                         workload_.is_time_varying();
-    if (!dynamic && overlay == nullptr && !has_aggregates && !wants_tracking &&
-        protocol_ == ProtocolVariant::kPushPullAverage) {
-      // The historical static event path: single-slot push-pull over a fixed
-      // topology, RNG stream preserved bit-for-bit for the latency /
-      // waiting-time benches.
-      AsyncGossipConfig config;
-      config.waiting = waiting_;
-      config.latency = latency_;
-      config.loss_probability = failures_.message_loss;
-      return Simulation(detail::make_async_static(
-          rng, observers_, std::move(topology), std::move(initial), config));
     }
     return Simulation(detail::make_event_averaging(
         rng, observers_, std::move(spec), std::move(plan), std::move(initial),

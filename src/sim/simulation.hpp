@@ -16,8 +16,7 @@
 //
 // — all randomness flowing from a single 64-bit seed for bit-reproducible
 // runs. Conflicting specs fail fast in build() with an actionable
-// ContractViolation. AveragingNetwork and SizeEstimationNetwork
-// (protocol/network_runner.hpp) are thin presets over this builder.
+// ContractViolation.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +32,6 @@
 #include "common/types.hpp"
 #include "core/pair_selector.hpp"
 #include "graph/topology.hpp"
-#include "protocol/async_gossip.hpp"
-#include "protocol/multi_aggregate.hpp"
 #include "sim/cycle_engine.hpp"
 #include "sim/event_engine.hpp"
 #include "sim/observers.hpp"
@@ -142,6 +139,20 @@ enum class EngineKind {
 
 std::string_view to_string(EngineKind kind);
 
+/// GETWAITINGTIME policies of the event engine.
+enum class WaitingTime {
+  kConstant,     ///< period Δt = 1 with a uniform random initial phase
+  kExponential,  ///< i.i.d. Exponential(mean = 1) waits (the RAND-like regime)
+};
+
+/// Event engine: approximation quality over the participants at an integer
+/// simulated time.
+struct AsyncSample {
+  SimTime time = 0.0;
+  double variance = 0.0;  ///< empirical variance of x (eq. 3)
+  double mean = 0.0;      ///< mean of x — drifts only if messages are lost
+};
+
 /// Failure model: a churn schedule (crashes take state, joiners wait for the
 /// next epoch) plus per-message loss. Churn runs on both engines: the cycle
 /// engine applies the schedule at the start of every cycle; the event engine
@@ -230,8 +241,8 @@ struct WorkloadSpec {
 
 /// Which protocol runs on top of the composed substrate.
 enum class ProtocolVariant {
-  kPushPullAverage,  ///< the AVG kernel of paper Fig. 2 (single slot)
-  kMultiAggregate,   ///< several slots (avg/max/min) on one pair sequence
+  kPushPullAverage,  ///< the AVG kernel of paper Fig. 2; .aggregates(...)
+                     ///< runs several instances on one pair sequence
   kPushSum,          ///< Kempe–Dobra–Gehrke push-sum baseline
   kSizeEstimation,   ///< §4: concurrent counting instances + epoch restarts
 };
@@ -290,11 +301,11 @@ public:
   [[nodiscard]] std::size_t participant_count() const;
 
   /// Primary-slot approximations x_i, indexed by node id. Precondition: the
-  /// protocol keeps a dense value vector (averaging / multi-aggregate /
-  /// push-sum on the cycle engine).
+  /// protocol keeps a dense value vector (static averaging or push-sum on
+  /// the cycle engine; averaging without churn on the event engine).
   [[nodiscard]] const std::vector<double>& approximations() const;
 
-  /// Approximations of slot `slot` (multi-aggregate).
+  /// Approximations of aggregate plane `slot` (see .aggregates(...)).
   [[nodiscard]] const std::vector<double>& slot_approximations(
       std::size_t slot) const;
 
@@ -393,16 +404,9 @@ public:
   /// The aggregates the run computes, as registry-backed AggregatorSpecs
   /// (see aggregate/aggregator.hpp). One spec per instance; instances share
   /// the pair sequence the way a real node piggybacks all its aggregation
-  /// state in one message. Subsumes the historical combiner + .slots(...)
-  /// surface: works with kPushPullAverage (any number of instances) and
-  /// kMultiAggregate. Unset means one plain average.
+  /// state in one message. Requires kPushPullAverage. Unset means one plain
+  /// average, AggregatorSpec::average("average").
   SimulationBuilder& aggregates(std::vector<AggregatorSpec> specs);
-
-  /// Multi-aggregate slot declarations (kMultiAggregate only).
-  /// DEPRECATED: thin shim over .aggregates(...) — each SlotSpec becomes
-  /// the width-1 registry instance of its combiner (bit-identical streams).
-  /// Prefer .aggregates({AggregatorSpec::...}).
-  SimulationBuilder& slots(std::vector<SlotSpec> specs);
 
   /// Size estimation: target number of concurrent counting instances.
   SimulationBuilder& expected_leaders(double expected);
@@ -471,7 +475,6 @@ private:
   ProtocolVariant protocol_ = ProtocolVariant::kPushPullAverage;
   std::size_t epoch_length_ = 0;
   bool epoch_length_set_ = false;
-  std::vector<SlotSpec> slots_;
   std::vector<AggregatorSpec> aggregates_;
   double expected_leaders_ = 4.0;
   bool expected_leaders_set_ = false;

@@ -26,15 +26,15 @@
 //
 // Three impls cover the protocol family:
 //
-//  * EventAveragingImpl — push–pull averaging and multi-aggregate, over the
-//    complete overlay, a fixed topology, or a LIVE membership overlay whose
-//    per-node gossip wake-ups interleave with the aggregation wake-ups in
-//    simulated time. Epochs restart either on the global simulated-time
-//    grid (multiples of the epoch length, churn fired at integer times) or
-//    adaptively — each node runs a local, possibly drifting ΔT clock and
-//    adopts newer epoch ids epidemically from message tags (the fully
-//    asynchronous §4 scheme previously implemented by the bespoke
-//    AdaptiveAsyncNetwork loop).
+//  * EventAveragingImpl — push–pull averaging over any aggregate plan, over
+//    the complete overlay, a fixed topology, or a LIVE membership overlay
+//    whose per-node gossip wake-ups interleave with the aggregation wake-ups
+//    in simulated time. Every averaging run on the event engine lands here,
+//    from the plain static `.engine(kEvent)` chain up. Epochs restart either
+//    on the global simulated-time grid (multiples of the epoch length, churn
+//    fired at integer times) or adaptively — each node runs a local, possibly
+//    drifting ΔT clock and adopts newer epoch ids epidemically from message
+//    tags (the fully asynchronous §4 scheme).
 //  * EventCountingImpl — §4 size estimation: counting instances spread by
 //    push/reply messages between autonomous participants.
 //  * EventPushSumImpl — the Kempe–Dobra–Gehrke baseline: push-only messages
@@ -58,52 +58,6 @@
 namespace epiagg {
 namespace detail {
 namespace {
-
-// ===================================================================
-// AsyncImpl — the historical static event path (AsyncAveragingSim)
-// ===================================================================
-
-class AsyncImpl final : public SimulationImpl {
-public:
-  AsyncImpl(std::shared_ptr<Rng> rng,
-            std::vector<std::shared_ptr<Observer>> observers,
-            std::shared_ptr<const Topology> topology,
-            std::vector<double> initial, AsyncGossipConfig config)
-      : SimulationImpl(std::move(rng), std::move(observers), 0),
-        population_(initial.size()),
-        topology_(topology),
-        sim_(std::move(initial), std::move(topology), config, rng_->next_u64()) {}
-
-  void run_time(SimTime until) override {
-    sim_.run(until);
-    // Forward the newly produced integer-time samples through the pipeline.
-    const auto& all = sim_.samples();
-    for (; forwarded_ < all.size(); ++forwarded_) {
-      const AsyncSample& sample = all[forwarded_];
-      cycle_ = static_cast<std::size_t>(sample.time);
-      notify_cycle(CycleView{cycle_, population_, sample.mean, sample.variance,
-                             {}});
-    }
-  }
-
-  std::size_t population_size() const override { return population_; }
-  double variance() const override { return sim_.current_variance(); }
-  double mean() const override { return sim_.current_mean(); }
-
-  const std::vector<AsyncSample>& samples() const override {
-    return sim_.samples();
-  }
-  std::uint64_t messages_sent() const override { return sim_.messages_sent(); }
-  std::uint64_t messages_lost() const override { return sim_.messages_lost(); }
-
-  std::shared_ptr<const Topology> topology() const override { return topology_; }
-
-private:
-  std::size_t population_;
-  std::shared_ptr<const Topology> topology_;
-  AsyncAveragingSim sim_;
-  std::size_t forwarded_ = 0;
-};
 
 // ===================================================================
 // EventMessagingImpl — shared machinery of the message-based impls
@@ -343,20 +297,18 @@ public:
     want_impact_ = spec_.adversary != nullptr && want_attack_impact();
     want_tracking_ = want_tracking_error();
     // Multi-width instances seed through their init kernels BEFORE any
-    // snapshot below; legacy plans (all planes width-1, init == identity)
-    // skip this — the seeded store already holds `initial` everywhere, so
-    // the byte stream is unchanged.
-    if (!plan_.legacy()) {
-      for (NodeId id = 0; id < initial.size(); ++id)
-        for (const AggregatorInstance& inst : plan_.instances())
-          seed_instance(store_, inst, id, initial[id]);
-    }
+    // snapshot below.
+    seed_initial_state(store_, plan_, initial);
     // Merges are order-independent ACROSS nodes (each touches one target per
     // plane), so same-timestamp deliveries batch through apply_deliveries —
     // except when the merge itself is stateful: adaptive nodes snapshot and
     // re-tag mid-timestamp, and a mitigating adversary folds history into
-    // every update. Those run unbatched.
-    batching_ = !spec_.adaptive &&
+    // every update. Those run unbatched. So do runs without a latency model:
+    // every delivery then pops at its initiator's wake time, wake times never
+    // coincide, and a batch would hold a single exchange — the per-node dirty
+    // stamps and per-event flushes cost ~20% of throughput at N = 2·10^5
+    // with nothing to amortize them over.
+    batching_ = spec_.latency != nullptr && !spec_.adaptive &&
                 !(spec_.adversary != nullptr && spec_.adversary->mitigating());
     generations_.assign(initial.size(), 0);
     if (spec_.adaptive) nodes_.resize(initial.size());
@@ -614,8 +566,7 @@ private:
       id = store_.acquire();
       ensure_generation(id);
     }
-    // Per-instance init kernels; legacy plans (all width-1) write exactly
-    // the old per-plane `attribute` values.
+    // Per-instance init kernels (width-1 kinds write `attribute` itself).
     reseed_attributes(store_, plan_, id, attribute);
     store_.snapshot(id);
     alive_.insert(id);
@@ -1371,15 +1322,6 @@ std::unique_ptr<SimulationImpl> make_event_push_sum(
   return std::make_unique<EventPushSumImpl>(std::move(rng), std::move(observers),
                                             std::move(spec), std::move(initial),
                                             std::move(topology));
-}
-
-std::unique_ptr<SimulationImpl> make_async_static(
-    std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
-    std::shared_ptr<const Topology> topology, std::vector<double> initial,
-    AsyncGossipConfig config) {
-  return std::make_unique<AsyncImpl>(std::move(rng), std::move(observers),
-                                     std::move(topology), std::move(initial),
-                                     std::move(config));
 }
 
 }  // namespace detail

@@ -285,6 +285,21 @@ void report_overlay_health(const PeerSamplingService& overlay,
 void seed_instance(NodeStateStore& store, const AggregatorInstance& inst,
                    NodeId id, double a);
 
+/// Seeds the initial state of nodes 0 .. initial.size()-1 through the init
+/// kernel of every multi-plane instance of `plan`. Width-1 instances are
+/// skipped: their init is the identity (state[0] == a by the AggregatorDef
+/// contract) and the store's constructor already holds `initial` in every
+/// plane, so a single-plane plan costs no per-node pass at set-up.
+inline void seed_initial_state(NodeStateStore& store,
+                               const AggregatorPlan& plan,
+                               std::span<const double> initial) {
+  for (const AggregatorInstance& inst : plan.instances()) {
+    if (inst.def->width == 1) continue;
+    for (NodeId id = 0; id < initial.size(); ++id)
+      seed_instance(store, inst, id, initial[id]);
+  }
+}
+
 /// Writes one instance's freshly initialized state into the ATTRIBUTE
 /// planes only (callers snapshot / restart to surface it).
 void seed_instance_attributes(NodeStateStore& store,
@@ -339,7 +354,8 @@ struct EventSpec {
   std::shared_ptr<AdversaryRuntime> adversary;
 };
 
-/// The averaging family (push–pull / multi-aggregate) on the event engine.
+/// The averaging family (push–pull over any aggregate plan) on the event
+/// engine.
 /// Exactly one of the partner sources is used: a live `overlay`, a fixed
 /// `topology`, or — when both are null — uniform sampling from the live
 /// participant set (the complete, peer-sampled overlay).
@@ -362,14 +378,6 @@ std::unique_ptr<SimulationImpl> make_event_push_sum(
     std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
     EventSpec spec, std::vector<double> initial,
     std::shared_ptr<const Topology> topology);
-
-/// The historical static event path (AsyncAveragingSim): single-slot
-/// push–pull over a fixed topology, bit-compatible with the pre-existing
-/// latency/waiting-time benches.
-std::unique_ptr<SimulationImpl> make_async_static(
-    std::shared_ptr<Rng> rng, std::vector<std::shared_ptr<Observer>> observers,
-    std::shared_ptr<const Topology> topology, std::vector<double> initial,
-    AsyncGossipConfig config);
 
 }  // namespace detail
 }  // namespace epiagg

@@ -1,8 +1,8 @@
 // The aggregator registry: the open successor of the Combiner enum. These
 // tests pin the registry contract (builtins present, validation on
 // register, nullptr on unknown), the plan flattening (offsets, plane
-// combiners, legacy aliasing), and — at the FP-expression level — the
-// decay and window kernels the engines execute once per cycle.
+// combiners, one plane per width-1 builtin), and — at the FP-expression
+// level — the decay and window kernels the engines execute once per cycle.
 #include "aggregate/aggregator.hpp"
 
 #include <gtest/gtest.h>
@@ -83,28 +83,12 @@ TEST(AggregatorRegistry, RegisterValidatesAndRejectsDuplicates) {
   EXPECT_THROW(register_aggregator(def), ContractViolation);  // now a dup
 }
 
-TEST(AggregatorPlanTest, FromCombinersIsTheLegacyAlias) {
-  const Combiner combiners[] = {Combiner::kAverage, Combiner::kMax,
-                                Combiner::kMin};
-  const AggregatorPlan plan = AggregatorPlan::from_combiners(combiners);
-  EXPECT_TRUE(plan.legacy());
-  EXPECT_FALSE(plan.has_dynamics());
-  ASSERT_EQ(plan.instances().size(), 3u);
-  ASSERT_EQ(plan.planes(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(plan.plane_combiners()[i], combiners[i]);
-    EXPECT_EQ(plan.instances()[i].offset, i);
-    EXPECT_EQ(plan.instances()[i].def->width, 1u);
-  }
-}
-
 TEST(AggregatorPlanTest, FromSpecsLaysInstancesOverConsecutivePlanes) {
   const std::vector<AggregatorSpec> specs = {
       AggregatorSpec::average("avg"), AggregatorSpec::variance("var"),
       AggregatorSpec::decaying_mean("ewma", 0.25),
       AggregatorSpec::windowed_mean("win", 8)};
   const AggregatorPlan plan = AggregatorPlan::from_specs(specs);
-  EXPECT_FALSE(plan.legacy());  // variance is width-2, dynamics present
   EXPECT_TRUE(plan.has_dynamics());
   ASSERT_EQ(plan.instances().size(), 4u);
   EXPECT_EQ(plan.planes(), 5u);  // 1 + 2 + 1 + 1
@@ -122,18 +106,23 @@ TEST(AggregatorPlanTest, FromSpecsLaysInstancesOverConsecutivePlanes) {
   EXPECT_EQ(plan.plane_combiners(), expected);
 }
 
-TEST(AggregatorPlanTest, AllWidthOneStaticSpecsStayLegacy) {
-  // average/max/min via specs alias the historical combiner vector
-  // exactly; the engines then skip every non-legacy branch.
+TEST(AggregatorPlanTest, WidthOneBuiltinsAreOnePlaneOfTheirCombiner) {
+  // average / maximum / minimum each contribute exactly one plane, merged
+  // by the elementary combiner of the same name.
   const std::vector<AggregatorSpec> specs = {AggregatorSpec::average("a"),
                                              AggregatorSpec::maximum("b"),
                                              AggregatorSpec::minimum("c")};
   const AggregatorPlan plan = AggregatorPlan::from_specs(specs);
-  EXPECT_TRUE(plan.legacy());
   EXPECT_FALSE(plan.has_dynamics());
   const std::vector<Combiner> expected = {Combiner::kAverage, Combiner::kMax,
                                           Combiner::kMin};
   EXPECT_EQ(plan.plane_combiners(), expected);
+  ASSERT_EQ(plan.instances().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(plan.instances()[i].offset, i);
+    EXPECT_EQ(plan.instances()[i].def->width, 1u);
+    EXPECT_EQ(plan.instances()[i].label, specs[i].label);
+  }
 }
 
 // ------------------------------------------------------------------

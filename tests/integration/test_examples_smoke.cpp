@@ -7,10 +7,11 @@
 #include <cmath>
 #include <memory>
 
+#include "../support/trace_fingerprint.hpp"
 #include "aggregate/aggregate.hpp"
+#include "common/stats.hpp"
 #include "core/avg_model.hpp"
 #include "membership/newscast.hpp"
-#include "protocol/network_runner.hpp"
 #include "sim/simulation.hpp"
 #include "workload/values.hpp"
 
@@ -34,12 +35,72 @@ TEST(ExamplesSmoke, QuickstartFlow) {
 
 TEST(ExamplesSmoke, SizeEstimationFlow) {
   // examples/size_estimation.cpp: epochs + leaders + churn.
-  SizeEstimationConfig config;
-  config.initial_size = 2000;
-  config.epoch_length = 30;
-  SizeEstimationNetwork net(config, std::make_unique<ConstantFluctuation>(5), 2);
-  net.run_cycles(90);
-  EXPECT_EQ(net.reports().size(), 3u);
+  Simulation sim = SimulationBuilder()
+                       .nodes(2000)
+                       .protocol(ProtocolVariant::kSizeEstimation)
+                       .epoch_length(30)
+                       .failures(FailureSpec::with_churn(
+                           std::make_shared<ConstantFluctuation>(5)))
+                       .seed(2)
+                       .build();
+  sim.run_cycles(90);
+  EXPECT_EQ(sim.epochs().size(), 3u);
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x1d8842a7ef96ad91ULL);
+}
+
+TEST(ExamplesSmoke, RobustnessDemoFlow) {
+  // examples/robustness_demo.cpp at N = 500, seed 1.
+  const std::size_t n = 500;
+  const double loss = 0.10;
+  Rng rng(1);
+  const auto values = generate_values(ValueDistribution::kUniform, n, rng);
+  const double truth = true_average(values);
+
+  // Part 1: the plain event run under exponential waits and latencies plus
+  // loss still contracts the variance by orders of magnitude, while reply
+  // losses let the mean drift only slightly.
+  Simulation raw = SimulationBuilder()
+                       .engine(EngineKind::kEvent)
+                       .waiting(WaitingTime::kExponential)
+                       .latency(std::make_shared<ExponentialLatency>(0.05))
+                       .failures(FailureSpec::message_loss_only(loss))
+                       .workload(WorkloadSpec::from_values(values))
+                       .seed(2)
+                       .build();
+  raw.run_time(12.0);
+  ASSERT_EQ(raw.samples().size(), 12u);
+  EXPECT_LT(raw.samples().back().variance,
+            raw.samples().front().variance * 1e-2);
+  EXPECT_NEAR(raw.mean(), truth, 0.02);
+  EXPECT_GT(raw.messages_lost(), 0u);
+  EXPECT_LT(raw.messages_lost(), raw.messages_sent());
+
+  // Part 2: adaptive epochs with drifting clocks, a join wave of outliers
+  // after epoch 1 and a +1 shift of every original attribute in epoch 3.
+  Simulation adaptive = SimulationBuilder()
+                            .engine(EngineKind::kEvent)
+                            .adaptive_epochs(0.01)
+                            .epoch_length(30)
+                            .failures(FailureSpec::message_loss_only(loss))
+                            .workload(WorkloadSpec::from_values(values))
+                            .seed(3)
+                            .build();
+  adaptive.run_time(35.0);
+  for (std::size_t j = 0; j < n / 10; ++j) adaptive.join(2.0);
+  adaptive.run_time(95.0);
+  for (NodeId i = 0; i < n; ++i) adaptive.set_value(i, values[i] + 1.0);
+  adaptive.run_time(185.0);
+  std::vector<RunningStats> per_epoch(6);
+  for (const AdaptiveEpochSample& sample : adaptive.adaptive_samples())
+    if (sample.epoch < 6) per_epoch[sample.epoch].add(sample.approximation);
+  const double joined = (truth * n + 2.0 * (n / 10)) / (n + n / 10);
+  const double shifted = ((truth + 1.0) * n + 2.0 * (n / 10)) / (n + n / 10);
+  EXPECT_NEAR(per_epoch[0].mean(), truth, 0.02);
+  EXPECT_NEAR(per_epoch[1].mean(), truth, 0.02);
+  EXPECT_NEAR(per_epoch[2].mean(), joined, 0.02);
+  EXPECT_NEAR(per_epoch[4].mean(), shifted, 0.02);
+  EXPECT_NEAR(per_epoch[5].mean(), shifted, 0.02);
+  EXPECT_GT(per_epoch[2].count(), n);  // the joiners report too
 }
 
 TEST(ExamplesSmoke, LoadMonitoringFlow) {

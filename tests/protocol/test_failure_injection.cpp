@@ -1,61 +1,68 @@
-// Failure-injection tests: the protocol's documented degradation modes under
-// crashes and message loss must be present, bounded, and in the predicted
-// direction — not just "still runs".
+// Failure-injection tests for §4 size estimation: the protocol's documented
+// degradation modes under crashes and leaderless epochs must be present,
+// bounded, and in the predicted direction — not just "still runs". (The
+// event engine's message-loss modes are pinned in
+// tests/sim/test_event_async.cpp.)
+//
+// Each run is pinned to a fingerprint of its epoch reports, recorded from
+// the same configuration before the dedicated size-estimation network class
+// was folded into the builder.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
+#include <vector>
 
-#include "common/stats.hpp"
-#include "protocol/async_gossip.hpp"
-#include "protocol/network_runner.hpp"
-#include "workload/values.hpp"
+#include "../support/trace_fingerprint.hpp"
+#include "sim/simulation.hpp"
 
 namespace epiagg {
 namespace {
+
+Simulation counting(std::size_t n, std::size_t epoch_length, double leaders,
+                    std::shared_ptr<ChurnSchedule> churn, std::uint64_t seed) {
+  return SimulationBuilder()
+      .nodes(n)
+      .protocol(ProtocolVariant::kSizeEstimation)
+      .epoch_length(epoch_length)
+      .expected_leaders(leaders)
+      .failures(FailureSpec::with_churn(std::move(churn)))
+      .seed(seed)
+      .build();
+}
 
 TEST(FailureInjection, CrashBurstMidEpochBiasesOneEpochOnly) {
   // A 20% crash burst in the middle of epoch 3 removes counting mass at
   // random. Epoch 3's report may be off, but epoch 4 restarts from the
   // surviving population and must be accurate again — the self-stabilizing
   // property of the restart mechanism.
-  SizeEstimationConfig config;
-  config.initial_size = 2000;
-  config.epoch_length = 30;
-  config.expected_leaders = 6.0;
-  SizeEstimationNetwork net(config, std::make_unique<CrashBurst>(3 * 30 + 15, 400),
-                            1);
-  net.run_cycles(6 * 30);
-  const auto& reports = net.reports();
+  Simulation sim = counting(2000, 30, 6.0,
+                            std::make_shared<CrashBurst>(3 * 30 + 15, 400), 1);
+  sim.run_cycles(6 * 30);
+  const auto& reports = sim.epochs();
   ASSERT_EQ(reports.size(), 6u);
   // Post-burst epochs estimate the shrunken population accurately.
   for (std::size_t e = 4; e < 6; ++e) {
     if (reports[e].instances == 0 || reports[e].reporting == 0) continue;
     EXPECT_NEAR(reports[e].est_mean, 1600.0, 1600.0 * 0.03) << "epoch " << e;
   }
+  EXPECT_EQ(epochs_fingerprint(reports), 0x37061abd7420fc2eULL);
 }
 
 TEST(FailureInjection, CrashesNeverStallTheProtocol) {
   // Extreme fluctuation (20% of the network swapped per cycle) must not
   // break any invariant or wedge the simulation.
-  SizeEstimationConfig config;
-  config.initial_size = 500;
-  config.epoch_length = 20;
-  SizeEstimationNetwork net(config, std::make_unique<ConstantFluctuation>(100), 2);
-  net.run_cycles(100);
-  EXPECT_EQ(net.population_size(), 500u);
-  EXPECT_EQ(net.reports().size(), 5u);
+  Simulation sim =
+      counting(500, 20, 4.0, std::make_shared<ConstantFluctuation>(100), 2);
+  sim.run_cycles(100);
+  EXPECT_EQ(sim.population_size(), 500u);
+  EXPECT_EQ(sim.epochs().size(), 5u);
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x525370697c359102ULL);
 }
 
 TEST(FailureInjection, MassLossBiasesCountingUpward) {
   // Crashes remove instance mass; since surviving mass can only shrink, the
   // per-instance estimate 1/x̄ is biased UP relative to the surviving
   // population far more often than down. Verify the direction statistically.
-  SizeEstimationConfig config;
-  config.initial_size = 1000;
-  config.epoch_length = 30;
-  config.expected_leaders = 4.0;
-
   class CrashOnly final : public ChurnSchedule {
   public:
     ChurnAction at_cycle(std::size_t, std::size_t size) override {
@@ -63,67 +70,30 @@ TEST(FailureInjection, MassLossBiasesCountingUpward) {
     }
   };
   int above = 0, total = 0;
+  std::vector<double> trace;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    SizeEstimationNetwork net(config, std::make_unique<CrashOnly>(), 100 + seed);
-    net.run_cycles(30);
-    const EpochReport& report = net.reports().front();
+    Simulation sim =
+        counting(1000, 30, 4.0, std::make_shared<CrashOnly>(), 100 + seed);
+    sim.run_cycles(30);
+    append_epochs(trace, sim.epochs());
+    const EpochSummary& report = sim.epochs().front();
     if (report.instances == 0 || report.reporting == 0) continue;
     ++total;
     // Compare against the END population (what survived).
-    if (report.est_mean > static_cast<double>(report.size_at_end)) ++above;
+    if (report.est_mean > static_cast<double>(report.population_end)) ++above;
   }
   ASSERT_GE(total, 8);
   EXPECT_GE(above, total - 1);
-}
-
-TEST(FailureInjection, ReplyLossesLeakMassPushLossesDoNot) {
-  // Structural check of the loss semantics: with loss applied ONLY to
-  // pushes, mass would be conserved; our model loses pushes and replies with
-  // equal probability, so drift comes from the reply path. We verify that
-  // the drift magnitude is consistent with ~half the losses being harmless.
-  Rng rng(3);
-  auto values = generate_values(ValueDistribution::kPeak, 400, rng);
-  AsyncGossipConfig config;
-  config.loss_probability = 0.25;
-  AsyncAveragingSim sim(values, std::make_shared<CompleteTopology>(400), config, 4);
-  const double before = sim.current_mean();
-  sim.run(12.0);
-  EXPECT_GT(sim.messages_lost(), 0u);
-  // Mean moved (reply losses) but stayed within the convex hull of values.
-  EXPECT_NE(sim.current_mean(), before);
-  EXPECT_GE(sim.current_mean(), -1e-9);
-  EXPECT_LE(sim.current_mean(), static_cast<double>(400));
-}
-
-TEST(FailureInjection, VarianceStillContractsUnderHeavyLoss) {
-  // Even at 40% loss the variance contracts — slower, but inexorably (the
-  // paper's graceful-degradation story).
-  Rng rng(5);
-  AsyncGossipConfig config;
-  config.loss_probability = 0.4;
-  AsyncAveragingSim sim(generate_values(ValueDistribution::kNormal, 1000, rng),
-                        std::make_shared<CompleteTopology>(1000), config, 6);
-  sim.run(20.0);
-  const auto& samples = sim.samples();
-  EXPECT_LT(samples.back().variance, samples.front().variance * 0.01);
-  // And the per-cycle factor is strictly worse than lossless theory.
-  RunningStats factors;
-  for (std::size_t i = 1; i < samples.size(); ++i)
-    factors.add(samples[i].variance / samples[i - 1].variance);
-  EXPECT_GT(factors.mean(), 0.303);
+  EXPECT_EQ(fingerprint(trace), 0xdc871fe797d74931ULL);
 }
 
 TEST(FailureInjection, IsolatedEpochWithoutLeadersRecovers) {
   // Force expected_leaders so low that leaderless epochs happen; the network
   // must keep running and produce estimates in the epochs that do have one.
-  SizeEstimationConfig config;
-  config.initial_size = 300;
-  config.epoch_length = 25;
-  config.expected_leaders = 0.7;  // P(no leader) ≈ e^-0.7 ≈ 0.5
-  SizeEstimationNetwork net(config, std::make_unique<NoChurn>(), 7);
-  net.run_cycles(25 * 20);
+  Simulation sim = counting(300, 25, 0.7, std::make_shared<NoChurn>(), 7);
+  sim.run_cycles(25 * 20);  // P(no leader) ≈ e^-0.7 ≈ 0.5 per epoch
   std::size_t with = 0, without = 0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0) {
       ++without;
       EXPECT_EQ(report.reporting, 0u);
@@ -136,21 +106,7 @@ TEST(FailureInjection, IsolatedEpochWithoutLeadersRecovers) {
   }
   EXPECT_GT(with, 0u);
   EXPECT_GT(without, 0u);  // the failure mode actually occurred
-}
-
-TEST(FailureInjection, LatencyPlusLossCombined) {
-  // The least idealized regime the engine supports: exponential waits,
-  // exponential latencies, 10% loss. Convergence must still be exponential
-  // in wall-clock time.
-  Rng rng(8);
-  AsyncGossipConfig config;
-  config.waiting = WaitingTime::kExponential;
-  config.latency = std::make_shared<ExponentialLatency>(0.1);
-  config.loss_probability = 0.1;
-  AsyncAveragingSim sim(generate_values(ValueDistribution::kUniform, 800, rng),
-                        std::make_shared<CompleteTopology>(800), config, 9);
-  sim.run(15.0);
-  EXPECT_LT(sim.samples().back().variance, sim.samples().front().variance * 1e-3);
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0xd92b2070b9fd650bULL);
 }
 
 }  // namespace

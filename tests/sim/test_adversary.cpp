@@ -59,7 +59,7 @@ std::vector<AdversaryCase> all_cases() {
   };
 }
 
-TEST(AdversaryDeterminism, CycleEngineSameSeedByteIdentical) {
+TEST(AdversaryDeterminism, CycleSameSeedByteIdentical) {
   for (const AdversaryCase& c : all_cases()) {
     const auto first = cycle_trace(c.adv, c.mit, 42);
     const auto second = cycle_trace(c.adv, c.mit, 42);

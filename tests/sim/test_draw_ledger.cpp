@@ -19,33 +19,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "../support/trace_fingerprint.hpp"
+
 namespace epiagg {
 namespace {
-
-// ===================================================================
-// Fingerprint plumbing
-// ===================================================================
-
-/// FNV-1a over the raw bytes of a double trace: bit-exact, so a single
-/// swapped or inserted draw anywhere upstream changes the hash.
-std::uint64_t fingerprint(const std::vector<double>& xs) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const double x : xs) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
 
 // ===================================================================
 // The four golden paths
@@ -143,7 +125,7 @@ Simulation event_live_membership() {
 // Cross-build stream-neutrality pins (run in EVERY build flavor)
 // ===================================================================
 
-TEST(DrawLedgerNeutrality, CycleEngineFingerprintIsBuildInvariant) {
+TEST(DrawLedgerNeutrality, CycleFingerprintIsBuildInvariant) {
   auto observed = std::make_shared<VarianceTrace>();
   Simulation sim = cycle_churn_adversary(observed);
   std::vector<double> trace = observed->trace();

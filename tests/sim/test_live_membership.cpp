@@ -12,6 +12,8 @@
 #include <memory>
 #include <vector>
 
+#include "../support/trace_fingerprint.hpp"
+
 namespace epiagg {
 namespace {
 
@@ -174,8 +176,8 @@ TEST(LiveMembership, MultiAggregateRidesTheLiveOverlay) {
   Simulation sim =
       SimulationBuilder()
           .nodes(300)
-          .protocol(ProtocolVariant::kMultiAggregate)
-          .slots({{"avg", Combiner::kAverage}, {"max", Combiner::kMax}})
+          .aggregates({AggregatorSpec::average("avg"),
+                       AggregatorSpec::maximum("max")})
           .membership(MembershipSpec::cyclon(20, 8, 10))
           .failures(FailureSpec::with_churn(
               std::make_shared<ConstantFluctuation>(2)))
@@ -186,6 +188,11 @@ TEST(LiveMembership, MultiAggregateRidesTheLiveOverlay) {
           .build();
   const EpochSummary summary = sim.run_epoch();
   EXPECT_NEAR(summary.est_mean, summary.truth, 0.1);
+  // Pinned: the same run declared through the retired slot shim.
+  std::vector<double> trace;
+  append_epochs(trace, sim.epochs());
+  trace.push_back(summary.truth);
+  EXPECT_EQ(fingerprint(trace), 0xed3b085beba0f882ULL);
 }
 
 TEST(LiveMembership, SizeEstimationRunsOnTheLiveOverlay) {

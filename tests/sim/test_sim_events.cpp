@@ -1,9 +1,12 @@
-// The typed-event machinery behind the message-based impls: the payload
-// arenas (sim/payload_arena.hpp) that keep in-flight messages heap-free in
-// the steady state, and the SimEventEngine's kControl escape hatch. Pins
-// the recycling contracts a use-after-release or stale-index bug would
-// break — these tests run under ASan+UBSan in CI, where such a bug turns
-// into a hard failure instead of silent corruption.
+// The typed-event machinery behind the message-based impls: the
+// SimEventEngine scheduling contract (time order, FIFO among equal times,
+// inclusive run_until boundaries, rejection of past scheduling, the
+// processed-event count), the payload arenas (sim/payload_arena.hpp) that
+// keep in-flight messages heap-free in the steady state, the kControl
+// escape hatch, and the message latency models. Pins the recycling
+// contracts a use-after-release or stale-index bug would break — these
+// tests run under ASan+UBSan in CI, where such a bug turns into a hard
+// failure instead of silent corruption.
 #include "sim/sim_events.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +15,110 @@
 #include <utility>
 #include <vector>
 
+#include "../support/trace_fingerprint.hpp"
 #include "sim/payload_arena.hpp"
 #include "sim/simulation.hpp"
 
 namespace epiagg {
 namespace {
+
+/// A kWake record whose node field carries `tag`, so a handler can tell
+/// records apart by the order it sees them.
+SimEventRecord tagged(NodeId tag) {
+  SimEventRecord record;
+  record.kind = EvKind::kWake;
+  record.a = tag;
+  return record;
+}
+
+/// Drains `engine` through `t_end`, returning the tags in pop order.
+std::vector<NodeId> drain(SimEventEngine& engine, SimTime t_end) {
+  std::vector<NodeId> order;
+  engine.run_until(t_end,
+                   [&](SimEventRecord& event) { order.push_back(event.a); });
+  return order;
+}
+
+TEST(SimEventEngine, StartsEmptyAtTimeZero) {
+  SimEventEngine engine;
+  EXPECT_DOUBLE_EQ(engine.now(), 0.0);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.events_processed(), 0u);
+}
+
+TEST(SimEventEngine, PopsInTimeOrder) {
+  SimEventEngine engine;
+  engine.schedule_at(3.0, tagged(3));
+  engine.schedule_at(1.0, tagged(1));
+  engine.schedule_at(2.0, tagged(2));
+  EXPECT_EQ(drain(engine, 10.0), (std::vector<NodeId>{1, 2, 3}));
+}
+
+TEST(SimEventEngine, EqualTimesAreFifo) {
+  // Determinism rests on this: same-timestamp events fire in scheduling
+  // order, interleaved or not with other timestamps.
+  SimEventEngine engine;
+  for (NodeId i = 0; i < 10; ++i) {
+    engine.schedule_at(1.0, tagged(i));
+    engine.schedule_at(0.5, tagged(100 + i));
+  }
+  const std::vector<NodeId> order = drain(engine, 1.0);
+  ASSERT_EQ(order.size(), 20u);
+  for (NodeId i = 0; i < 10; ++i) {
+    EXPECT_EQ(order[i], 100 + i);
+    EXPECT_EQ(order[10 + i], i);
+  }
+}
+
+TEST(SimEventEngine, RunUntilBoundaryIsInclusive) {
+  SimEventEngine engine;
+  engine.schedule_at(1.0, tagged(1));
+  engine.schedule_at(2.0, tagged(2));
+  engine.schedule_at(3.0, tagged(3));
+  EXPECT_EQ(drain(engine, 2.0), (std::vector<NodeId>{1, 2}));
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(drain(engine, 10.0), (std::vector<NodeId>{3}));
+  EXPECT_DOUBLE_EQ(engine.now(), 10.0);  // the clock advances to the horizon
+}
+
+TEST(SimEventEngine, ScheduleAfterChainsFromTheCurrentTime) {
+  // A handler rescheduling itself is how every wake-up loop runs: one
+  // record per unit time, t = 0..100 inclusive.
+  SimEventEngine engine;
+  engine.schedule_at(0.0, tagged(0));
+  std::vector<SimTime> fired;
+  engine.run_until(100.0, [&](SimEventRecord& event) {
+    fired.push_back(engine.now());
+    engine.schedule_after(1.0, event);
+  });
+  ASSERT_EQ(fired.size(), 101u);
+  EXPECT_DOUBLE_EQ(fired.back(), 100.0);
+  EXPECT_EQ(engine.pending(), 1u);  // t = 101 waits for the next run
+}
+
+TEST(SimEventEngine, RejectsPastScheduling) {
+  SimEventEngine engine;
+  engine.schedule_at(5.0, tagged(0));
+  drain(engine, 5.0);
+  EXPECT_THROW(engine.schedule_at(1.0, tagged(1)), ContractViolation);
+  EXPECT_THROW(engine.schedule_after(-1.0, tagged(1)), ContractViolation);
+  EXPECT_THROW(engine.schedule_control(1.0, [] {}), ContractViolation);
+  EXPECT_THROW(engine.schedule_control(6.0, nullptr), ContractViolation);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(SimEventEngine, CountsProcessedEvents) {
+  SimEventEngine engine;
+  for (int i = 0; i < 7; ++i)
+    engine.schedule_at(static_cast<double>(i), tagged(0));
+  engine.schedule_control(3.5, [] {});
+  drain(engine, 4.0);
+  EXPECT_EQ(engine.events_processed(), 6u);  // t = 0..4 plus the control
+  drain(engine, 100.0);
+  EXPECT_EQ(engine.events_processed(), 8u);
+  EXPECT_EQ(engine.pending(), 0u);
+}
 
 TEST(SlabArena, RecyclesRowsThroughTheFreeList) {
   SlabArena<double> arena(4);
@@ -129,10 +231,10 @@ TEST(SimEvents, OrphanedInFlightTrafficRecyclesDeterministically) {
         SimulationBuilder()
             .nodes(300)
             .engine(EngineKind::kEvent)
-            .protocol(ProtocolVariant::kMultiAggregate)
-            .slots({{"avg", Combiner::kAverage},
-                    {"max", Combiner::kMax},
-                    {"min", Combiner::kMin}})  // 3 planes: slab payloads
+            .aggregates({AggregatorSpec::average("avg"),
+                         AggregatorSpec::maximum("max"),
+                         AggregatorSpec::minimum("min")})  // 3 planes: slab
+                                                           // payloads
             .epoch_length(20)
             .failures(FailureSpec::with_churn(
                 std::make_shared<ConstantFluctuation>(4)))
@@ -146,8 +248,41 @@ TEST(SimEvents, OrphanedInFlightTrafficRecyclesDeterministically) {
   };
   const auto golden = run(97);
   EXPECT_GT(golden.second, 0u);
+  // Pinned: the same run declared through the retired slot shim.
+  EXPECT_EQ(fingerprint({golden.first, static_cast<double>(golden.second)}),
+            0xf1e9bb5d2b3e0fc9ULL);
   EXPECT_EQ(run(97), golden);
   EXPECT_NE(run(96).second, golden.second);
+}
+
+TEST(LatencyModels, ConstantAndBounds) {
+  Rng rng(1);
+  ConstantLatency zero(0.0);
+  EXPECT_DOUBLE_EQ(zero.sample(rng), 0.0);
+  ConstantLatency fixed(0.25);
+  EXPECT_DOUBLE_EQ(fixed.sample(rng), 0.25);
+  EXPECT_THROW(ConstantLatency(-1.0), ContractViolation);
+}
+
+TEST(LatencyModels, UniformWithinRange) {
+  Rng rng(2);
+  UniformLatency latency(0.1, 0.3);
+  for (int i = 0; i < 1000; ++i) {
+    const double d = latency.sample(rng);
+    EXPECT_GE(d, 0.1);
+    EXPECT_LT(d, 0.3);
+  }
+  EXPECT_THROW(UniformLatency(0.3, 0.1), ContractViolation);
+}
+
+TEST(LatencyModels, ExponentialMean) {
+  Rng rng(3);
+  ExponentialLatency latency(0.2);
+  double sum = 0.0;
+  constexpr int kDraws = 100000;
+  for (int i = 0; i < kDraws; ++i) sum += latency.sample(rng);
+  EXPECT_NEAR(sum / kDraws, 0.2, 0.005);
+  EXPECT_THROW(ExponentialLatency(0.0), ContractViolation);
 }
 
 }  // namespace

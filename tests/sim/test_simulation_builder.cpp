@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 
+#include "../support/trace_fingerprint.hpp"
+#include "common/stats.hpp"
 #include "workload/values.hpp"
 
 namespace epiagg {
@@ -23,6 +26,17 @@ void expect_build_failure(SimulationBuilder builder, const std::string& hint) {
     EXPECT_NE(std::string(violation.what()).find(hint), std::string::npos)
         << "actual message: " << violation.what();
   }
+}
+
+/// Epoch reports, the first epoch's truth and all three aggregate planes of
+/// an average / maximum / minimum run.
+std::uint64_t slots_fingerprint(const Simulation& sim) {
+  std::vector<double> trace;
+  append_epochs(trace, sim.epochs());
+  trace.push_back(sim.epochs().front().truth);
+  for (std::size_t slot = 0; slot < 3; ++slot)
+    for (const double x : sim.slot_approximations(slot)) trace.push_back(x);
+  return fingerprint(trace);
 }
 
 TEST(SimulationBuilder, MinimalChainBuildsAndRuns) {
@@ -87,10 +101,9 @@ TEST(SimulationBuilder, EventEngineRunsFormerlyCycleOnlyProtocols) {
   Simulation multi = SimulationBuilder()
                          .nodes(200)
                          .engine(EngineKind::kEvent)
-                         .protocol(ProtocolVariant::kMultiAggregate)
-                         .slots({{"avg", Combiner::kAverage},
-                                 {"max", Combiner::kMax},
-                                 {"min", Combiner::kMin}})
+                         .aggregates({AggregatorSpec::average("avg"),
+                                      AggregatorSpec::maximum("max"),
+                                      AggregatorSpec::minimum("min")})
                          .epoch_length(25)
                          .seed(5)
                          .build();
@@ -99,6 +112,8 @@ TEST(SimulationBuilder, EventEngineRunsFormerlyCycleOnlyProtocols) {
   EXPECT_NEAR(multi.epochs().front().est_mean, multi.epochs().front().truth,
               1e-4);
   EXPECT_EQ(multi.slot_approximations(2).size(), 200u);
+  // Pinned: the same run declared through the retired slot shim.
+  EXPECT_EQ(slots_fingerprint(multi), 0x00141c1e8b5731ccULL);
 
   Simulation push_sum = SimulationBuilder()
                             .nodes(200)
@@ -244,7 +259,7 @@ TEST(SimulationBuilder, SizeEstimationKnobsRejectedElsewhere) {
                        "kSizeEstimation only");
 }
 
-TEST(SimulationBuilder, CycleEngineRejectsAsynchronySpecs) {
+TEST(SimulationBuilder, CycleRunsRejectAsynchronySpecs) {
   expect_build_failure(
       SimulationBuilder().nodes(100).waiting(WaitingTime::kExponential),
       "EngineKind::kEvent");
@@ -361,12 +376,6 @@ TEST(SimulationBuilder, PushSumRejectsPairStrategiesAndEpochs) {
                        "no epoch restart");
 }
 
-TEST(SimulationBuilder, SlotsBelongToMultiAggregate) {
-  expect_build_failure(SimulationBuilder().nodes(100).slots(
-                           {{"avg", Combiner::kAverage}}),
-                       "kMultiAggregate");
-}
-
 TEST(SimulationBuilder, ChurnAveragingNeedsDistributionWorkload) {
   expect_build_failure(
       SimulationBuilder()
@@ -402,23 +411,29 @@ TEST(SimulationBuilder, RuntimeMisuseOfTheWrongDriverThrows) {
                              .seed(4)
                              .build();
   EXPECT_THROW(event_sim.run_cycle(), ContractViolation);
-  EXPECT_THROW(event_sim.approximations(), ContractViolation);
+  // The plain event run keeps a dense per-node vector like every other
+  // static averaging run.
+  const std::vector<double>& approximations = event_sim.approximations();
+  ASSERT_EQ(approximations.size(), 50u);
+  for (const double x : approximations) EXPECT_TRUE(std::isfinite(x));
+  EXPECT_NEAR(mean(approximations), event_sim.mean(), 1e-12);
 }
 
 TEST(SimulationBuilder, ProtocolVariantsProduceWorkingSimulations) {
   // One happy-path spin of every variant, exercising the orthogonal axes.
   Simulation multi = SimulationBuilder()
                          .nodes(200)
-                         .protocol(ProtocolVariant::kMultiAggregate)
-                         .slots({{"avg", Combiner::kAverage},
-                                 {"max", Combiner::kMax},
-                                 {"min", Combiner::kMin}})
+                         .aggregates({AggregatorSpec::average("avg"),
+                                      AggregatorSpec::maximum("max"),
+                                      AggregatorSpec::minimum("min")})
                          .epoch_length(25)
                          .seed(5)
                          .build();
   const EpochSummary summary = multi.run_epoch();
   EXPECT_NEAR(summary.est_mean, summary.truth, 1e-6);
   EXPECT_EQ(multi.slot_approximations(2).size(), 200u);
+  // Pinned: the same run declared through the retired slot shim.
+  EXPECT_EQ(slots_fingerprint(multi), 0x7198339e080b7e21ULL);
 
   Simulation push_sum = SimulationBuilder()
                             .nodes(200)
@@ -461,16 +476,7 @@ TEST(SimulationBuilder, ProtocolVariantsProduceWorkingSimulations) {
   EXPECT_NEAR(churn_summary.est_mean, churn_summary.truth, 0.2);
 }
 
-TEST(SimulationBuilder, AggregatesSubsumeSlotsAndCombiners) {
-  // The new declarative list and the deprecated SlotSpec shim cannot both
-  // describe the aggregate set.
-  expect_build_failure(SimulationBuilder()
-                           .nodes(100)
-                           .protocol(ProtocolVariant::kMultiAggregate)
-                           .aggregates({AggregatorSpec::average("avg")})
-                           .slots({{"avg", Combiner::kAverage}}),
-                       ".aggregates(...) subsumes .slots(...)");
-  // Happy path: aggregates on the default protocol, no .slots(...) needed.
+TEST(SimulationBuilder, AggregatesRunOnThePushPullProtocol) {
   Simulation sim = SimulationBuilder()
                        .nodes(100)
                        .aggregates({AggregatorSpec::average("avg"),
@@ -597,15 +603,6 @@ TEST(SimulationBuilder, RejectsConflictingAdversarySpecs) {
                            .nodes(100)
                            .adversary(AdversarySpec::overlay_poison(0.1, 3, 3)),
                        "overlay poisoning");
-
-  // Adversary models rewrite single-aggregate exchanges only.
-  expect_build_failure(SimulationBuilder()
-                           .nodes(100)
-                           .protocol(ProtocolVariant::kMultiAggregate)
-                           .slots({{"avg", Combiner::kAverage}})
-                           .epoch_length(20)
-                           .adversary(AdversarySpec::constant_lie(0.1, 5.0)),
-                       "kMultiAggregate");
 
   // Adversary models assume the shared epoch grid, not per-node clocks.
   expect_build_failure(SimulationBuilder()
