@@ -4,10 +4,7 @@
 
 #include <vector>
 
-#include "../support/trace_fingerprint.hpp"
 #include "common/rng.hpp"
-#include "sim/simulation.hpp"
-#include "workload/values.hpp"
 
 namespace epiagg {
 namespace {
@@ -84,68 +81,6 @@ TEST(EpochClock, EpidemicSpreadReachesAllNodesFast) {
   }
   EXPECT_EQ(count_new(), kNodes);
   EXPECT_LE(cycles, 15u);  // log2(1024) = 10 plus slack
-}
-
-// Epoch restarts (§4) of continuous averaging over a static population
-// whose attributes change between epochs — the load-monitoring application
-// of the paper's introduction. Pinned to the fingerprints of the same runs
-// recorded before the dedicated averaging network class was folded into
-// the builder.
-
-Simulation monitoring(std::vector<double> values, std::size_t epoch_length,
-                      std::uint64_t seed) {
-  return SimulationBuilder()
-      .epoch_length(epoch_length)
-      .workload(WorkloadSpec::from_values(std::move(values)))
-      .seed(seed)
-      .build();
-}
-
-void append_summary(std::vector<double>& trace, const EpochSummary& e) {
-  for (const double x : {static_cast<double>(e.end_cycle), e.truth, e.est_mean,
-                         e.est_min, e.est_max, e.variance})
-    trace.push_back(x);
-}
-
-TEST(EpochRestarts, AveragingConvergesWithinEpoch) {
-  Rng rng(8);
-  Simulation sim = monitoring(
-      generate_values(ValueDistribution::kUniform, 500, rng), 30, 9);
-  const EpochSummary report = sim.run_epoch();
-  EXPECT_NEAR(report.est_mean, report.truth, 1e-9);
-  EXPECT_NEAR(report.est_min, report.truth, 1e-6);
-  EXPECT_NEAR(report.est_max, report.truth, 1e-6);
-  EXPECT_LT(report.variance, 1e-12);
-  std::vector<double> trace;
-  append_summary(trace, report);
-  EXPECT_EQ(fingerprint(trace), 0x8e5e1a6d73519312ULL);
-}
-
-TEST(EpochRestarts, AveragingTracksDriftingValuesAcrossEpochs) {
-  Rng rng(10);
-  const auto values = generate_values(ValueDistribution::kUniform, 200, rng);
-  Simulation sim = monitoring(values, 25, 11);
-  const EpochSummary first = sim.run_epoch();
-  // Double the load on every node: the next epoch reports the doubled mean.
-  for (NodeId i = 0; i < 200; ++i) sim.set_value(i, values[i] * 2.0);
-  const EpochSummary second = sim.run_epoch();
-  EXPECT_NEAR(second.truth, first.truth * 2.0, 1e-12);
-  EXPECT_NEAR(second.est_mean, second.truth, 1e-9);
-  std::vector<double> trace;
-  append_summary(trace, first);
-  append_summary(trace, second);
-  EXPECT_EQ(fingerprint(trace), 0xcc8727e48c88e0c5ULL);
-}
-
-TEST(EpochRestarts, AveragingValidatesInputs) {
-  EXPECT_THROW(SimulationBuilder()
-                   .nodes(10)
-                   .epoch_length(30)
-                   .workload(WorkloadSpec::from_values(std::vector<double>(5)))
-                   .build(),
-               ContractViolation);
-  Simulation sim = monitoring(std::vector<double>(10, 1.0), 30, 1);
-  EXPECT_THROW(sim.set_value(10, 0.0), ContractViolation);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // degradation modes under crashes and leaderless epochs must be present,
 // bounded, and in the predicted direction — not just "still runs". (The
 // event engine's message-loss modes are pinned in
-// tests/sim/test_event_async.cpp.)
+// tests/protocol/test_async_gossip.cpp.)
 //
 // Each run is pinned to a fingerprint of its epoch reports, recorded from
 // the same configuration before the dedicated size-estimation network class

@@ -1,68 +1,86 @@
-#include "protocol/network_runner.hpp"
-
+// Whole-network protocol runs with epoch restarts (§4), driven through
+// SimulationBuilder: the size-estimation protocol — leaders, epochs, churn —
+// via `.protocol(ProtocolVariant::kSizeEstimation)`, and continuous averaging
+// restarted every epoch. The runs are pinned to fingerprints of their epoch
+// reports, recorded from the same configurations before the dedicated
+// network classes were folded into the builder.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "../support/trace_fingerprint.hpp"
+#include "common/rng.hpp"
+#include "sim/simulation.hpp"
 #include "workload/values.hpp"
 
 namespace epiagg {
 namespace {
 
-SizeEstimationConfig small_config(std::size_t n, std::size_t epoch_length = 30) {
-  SizeEstimationConfig config;
-  config.initial_size = n;
-  config.epoch_length = epoch_length;
-  config.expected_leaders = 4.0;
-  return config;
+/// The Fig. 4 protocol on the cycle engine: `n` initial nodes, epochs of
+/// `epoch_length` cycles, E = 4 expected leaders, optional churn.
+Simulation counting(std::size_t n, std::size_t epoch_length, std::uint64_t seed,
+                    std::shared_ptr<ChurnSchedule> churn = nullptr) {
+  SimulationBuilder builder;
+  builder.nodes(n)
+      .protocol(ProtocolVariant::kSizeEstimation)
+      .epoch_length(epoch_length)
+      .expected_leaders(4.0)
+      .seed(seed);
+  if (churn != nullptr) builder.failures(FailureSpec::with_churn(churn));
+  return builder.build();
 }
 
-TEST(SizeEstimationNetwork, StaticNetworkEstimatesAccurately) {
-  SizeEstimationNetwork net(small_config(1000), std::make_unique<NoChurn>(), 1);
-  net.run_cycles(30);  // one epoch
-  ASSERT_EQ(net.reports().size(), 1u);
-  const EpochReport& report = net.reports().front();
-  EXPECT_EQ(report.size_at_start, 1000u);
-  EXPECT_EQ(report.size_at_end, 1000u);
+TEST(SizeEstimation, StaticNetworkEstimatesAccurately) {
+  Simulation sim = counting(1000, 30, 1);
+  sim.run_cycles(30);  // one epoch
+  ASSERT_EQ(sim.epochs().size(), 1u);
+  const EpochSummary& report = sim.epochs().front();
+  EXPECT_EQ(report.population_start, 1000u);
+  EXPECT_EQ(report.population_end, 1000u);
   if (report.instances > 0) {
     EXPECT_GT(report.reporting, 990u);
     EXPECT_NEAR(report.est_mean, 1000.0, 1.0);
     EXPECT_NEAR(report.est_min, 1000.0, 1.0);
     EXPECT_NEAR(report.est_max, 1000.0, 1.0);
   }
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x645b7eeb77ecd823ULL);
 }
 
-TEST(SizeEstimationNetwork, MultipleEpochsAllReport) {
-  SizeEstimationNetwork net(small_config(500), std::make_unique<NoChurn>(), 2);
-  net.run_cycles(30 * 10);
-  ASSERT_EQ(net.reports().size(), 10u);
+TEST(SizeEstimation, MultipleEpochsAllReport) {
+  Simulation sim = counting(500, 30, 2);
+  sim.run_cycles(30 * 10);
+  ASSERT_EQ(sim.epochs().size(), 10u);
   int epochs_with_instances = 0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0) continue;  // possible with small probability
     ++epochs_with_instances;
     EXPECT_NEAR(report.est_mean, 500.0, 5.0);
   }
   // P(no leader) = (1 - 4/500)^500 ≈ e^-4 ≈ 1.8% per epoch.
   EXPECT_GE(epochs_with_instances, 8);
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0xf68759799ef46095ULL);
 }
 
-TEST(SizeEstimationNetwork, MassConservedWithoutChurn) {
-  SizeEstimationNetwork net(small_config(300), std::make_unique<NoChurn>(), 3);
-  net.run_cycles(10);  // mid-epoch
-  const double mass = net.total_mass();
+TEST(SizeEstimation, MassConservedWithoutChurn) {
+  Simulation sim = counting(300, 30, 3);
+  sim.run_cycles(10);  // mid-epoch
+  const double mass = sim.total_mass();
   // Mass equals the number of instances started this epoch (each leader
   // injected exactly 1).
   EXPECT_NEAR(mass, std::round(mass), 1e-9);
-  net.run_cycles(10);
-  EXPECT_NEAR(net.total_mass(), mass, 1e-9);
+  sim.run_cycles(10);
+  EXPECT_NEAR(sim.total_mass(), mass, 1e-9);
+  EXPECT_EQ(fingerprint({mass, sim.total_mass()}), 0x3d8789896e18461fULL);
 }
 
-TEST(SizeEstimationNetwork, DeterministicGivenSeed) {
+TEST(SizeEstimation, DeterministicGivenSeed) {
   auto run = [](std::uint64_t seed) {
-    SizeEstimationNetwork net(small_config(200), std::make_unique<NoChurn>(), seed);
-    net.run_cycles(60);
-    return net.reports();
+    Simulation sim = counting(200, 30, seed);
+    sim.run_cycles(60);
+    return sim.epochs();
   };
   const auto a = run(7);
   const auto b = run(7);
@@ -71,9 +89,10 @@ TEST(SizeEstimationNetwork, DeterministicGivenSeed) {
     EXPECT_EQ(a[i].instances, b[i].instances);
     EXPECT_DOUBLE_EQ(a[i].est_mean, b[i].est_mean);
   }
+  EXPECT_EQ(epochs_fingerprint(a), 0x82c7a8715f6cea6bULL);
 }
 
-TEST(SizeEstimationNetwork, JoinersWaitForNextEpoch) {
+TEST(SizeEstimation, JoinersWaitForNextEpoch) {
   // A join-only burst mid-epoch: the population grows immediately but the
   // participant set only changes at the next epoch boundary.
   class JoinBurst final : public ChurnSchedule {
@@ -82,16 +101,16 @@ TEST(SizeEstimationNetwork, JoinersWaitForNextEpoch) {
       return cycle == 5 ? ChurnAction{30, 0} : ChurnAction{};
     }
   };
-  SizeEstimationConfig config = small_config(100, 20);
-  SizeEstimationNetwork net(config, std::make_unique<JoinBurst>(), 4);
-  net.run_cycles(10);  // mid-epoch, after the burst
-  EXPECT_EQ(net.population_size(), 130u);
-  EXPECT_EQ(net.participant_count(), 100u);  // joiners still waiting
-  net.run_cycles(10);  // epoch boundary at cycle 20
-  EXPECT_EQ(net.participant_count(), 130u);  // absorbed at the restart
+  Simulation sim = counting(100, 20, 4, std::make_shared<JoinBurst>());
+  sim.run_cycles(10);  // mid-epoch, after the burst
+  EXPECT_EQ(sim.population_size(), 130u);
+  EXPECT_EQ(sim.participant_count(), 100u);  // joiners still waiting
+  sim.run_cycles(10);  // epoch boundary at cycle 20
+  EXPECT_EQ(sim.participant_count(), 130u);  // absorbed at the restart
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x5bd657146c17de08ULL);
 }
 
-TEST(SizeEstimationNetwork, GrowthShowsUpOneEpochLate) {
+TEST(SizeEstimation, GrowthShowsUpOneEpochLate) {
   // A pure-join schedule: +10 nodes per cycle. The estimate of epoch k
   // reflects the population at epoch k's start — i.e. it lags by one epoch
   // (the paper's "translated by an epoch" observation).
@@ -99,98 +118,122 @@ TEST(SizeEstimationNetwork, GrowthShowsUpOneEpochLate) {
   public:
     ChurnAction at_cycle(std::size_t, std::size_t) override { return {10, 0}; }
   };
-  SizeEstimationConfig config = small_config(500, 25);
-  SizeEstimationNetwork net(config, std::make_unique<PureJoin>(), 5);
-  net.run_cycles(25 * 4);
-  ASSERT_EQ(net.reports().size(), 4u);
-  for (const EpochReport& report : net.reports()) {
+  Simulation sim = counting(500, 25, 5, std::make_shared<PureJoin>());
+  sim.run_cycles(25 * 4);
+  ASSERT_EQ(sim.epochs().size(), 4u);
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0) continue;
     // Estimate ≈ size at epoch start, not at epoch end (which is 250 larger).
-    EXPECT_NEAR(report.est_mean, static_cast<double>(report.size_at_start),
-                static_cast<double>(report.size_at_start) * 0.02);
-    EXPECT_EQ(report.size_at_end, report.size_at_start + 250u);
+    EXPECT_NEAR(report.est_mean, static_cast<double>(report.population_start),
+                static_cast<double>(report.population_start) * 0.02);
+    EXPECT_EQ(report.population_end, report.population_start + 250u);
   }
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x8f7a69b03a470a9fULL);
 }
 
-TEST(SizeEstimationNetwork, SurvivesHeavyChurn) {
+TEST(SizeEstimation, SurvivesHeavyChurn) {
   // 10% fluctuation per cycle: estimates become noisy but stay in a sane
   // band and the simulation never breaks invariants.
-  SizeEstimationConfig config = small_config(400, 30);
-  SizeEstimationNetwork net(config, std::make_unique<ConstantFluctuation>(40), 6);
-  net.run_cycles(30 * 5);
-  ASSERT_EQ(net.reports().size(), 5u);
-  for (const EpochReport& report : net.reports()) {
-    EXPECT_EQ(net.population_size(), 400u);
+  Simulation sim =
+      counting(400, 30, 6, std::make_shared<ConstantFluctuation>(40));
+  sim.run_cycles(30 * 5);
+  ASSERT_EQ(sim.epochs().size(), 5u);
+  EXPECT_EQ(sim.population_size(), 400u);
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0 || report.reporting == 0) continue;
     EXPECT_GT(report.est_mean, 100.0);
     EXPECT_LT(report.est_mean, 1600.0);
   }
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x5c2d8fad64b19ef6ULL);
 }
 
-TEST(SizeEstimationNetwork, OscillationTrackedWithOneEpochLag) {
+TEST(SizeEstimation, OscillationTrackedWithOneEpochLag) {
   // Scaled-down Fig. 4: size oscillates 900..1100, epoch 30, fluctuation 10.
-  SizeEstimationConfig config = small_config(1100, 30);
-  auto churn = std::make_unique<OscillatingChurn>(900, 1100, 200, 10);
-  SizeEstimationNetwork net(config, std::move(churn), 7);
-  net.run_cycles(30 * 12);
+  Simulation sim = counting(
+      1100, 30, 7, std::make_shared<OscillatingChurn>(900, 1100, 200, 10));
+  sim.run_cycles(30 * 12);
   std::size_t checked = 0;
-  for (const EpochReport& report : net.reports()) {
+  for (const EpochSummary& report : sim.epochs()) {
     if (report.instances == 0 || report.reporting == 0) continue;
     // The estimate reflects the epoch-start population within ~10%.
-    EXPECT_NEAR(report.est_mean, static_cast<double>(report.size_at_start),
-                static_cast<double>(report.size_at_start) * 0.10);
+    EXPECT_NEAR(report.est_mean, static_cast<double>(report.population_start),
+                static_cast<double>(report.population_start) * 0.10);
     ++checked;
   }
   EXPECT_GE(checked, 9u);
+  EXPECT_EQ(epochs_fingerprint(sim.epochs()), 0x918ff1a9d799de9fULL);
 }
 
-TEST(SizeEstimationNetwork, ValidatesConfig) {
-  EXPECT_THROW(SizeEstimationNetwork(small_config(1), std::make_unique<NoChurn>(), 1),
-               ContractViolation);
-  SizeEstimationConfig bad = small_config(100);
-  bad.expected_leaders = 0.0;
-  EXPECT_THROW(SizeEstimationNetwork(bad, std::make_unique<NoChurn>(), 1),
-               ContractViolation);
-  EXPECT_THROW(SizeEstimationNetwork(small_config(100), nullptr, 1),
+TEST(SizeEstimation, ValidatesConfig) {
+  EXPECT_THROW(counting(1, 30, 1), ContractViolation);
+  EXPECT_THROW(SimulationBuilder()
+                   .nodes(100)
+                   .protocol(ProtocolVariant::kSizeEstimation)
+                   .expected_leaders(0.0)
+                   .build(),
                ContractViolation);
 }
 
-TEST(AveragingNetwork, ConvergesWithinEpoch) {
+// Epoch restarts (§4) of continuous averaging over a static population
+// whose attributes change between epochs — the load-monitoring application
+// of the paper's introduction. Pinned to the fingerprints of the same runs
+// recorded before the dedicated averaging network class was folded into
+// the builder.
+
+Simulation monitoring(std::vector<double> values, std::size_t epoch_length,
+                      std::uint64_t seed) {
+  return SimulationBuilder()
+      .epoch_length(epoch_length)
+      .workload(WorkloadSpec::from_values(std::move(values)))
+      .seed(seed)
+      .build();
+}
+
+void append_summary(std::vector<double>& trace, const EpochSummary& e) {
+  for (const double x : {static_cast<double>(e.end_cycle), e.truth, e.est_mean,
+                         e.est_min, e.est_max, e.variance})
+    trace.push_back(x);
+}
+
+TEST(EpochRestarts, AveragingConvergesWithinEpoch) {
   Rng rng(8);
-  AveragingConfig config;
-  config.size = 500;
-  config.epoch_length = 30;
-  auto values = generate_values(ValueDistribution::kUniform, 500, rng);
-  AveragingNetwork net(config, values, 9);
-  const AveragingEpochReport report = net.run_epoch();
-  EXPECT_NEAR(report.est_mean, report.true_average, 1e-9);
-  EXPECT_NEAR(report.est_min, report.true_average, 1e-6);
-  EXPECT_NEAR(report.est_max, report.true_average, 1e-6);
+  Simulation sim = monitoring(
+      generate_values(ValueDistribution::kUniform, 500, rng), 30, 9);
+  const EpochSummary report = sim.run_epoch();
+  EXPECT_NEAR(report.est_mean, report.truth, 1e-9);
+  EXPECT_NEAR(report.est_min, report.truth, 1e-6);
+  EXPECT_NEAR(report.est_max, report.truth, 1e-6);
   EXPECT_LT(report.variance, 1e-12);
+  std::vector<double> trace;
+  append_summary(trace, report);
+  EXPECT_EQ(fingerprint(trace), 0x8e5e1a6d73519312ULL);
 }
 
-TEST(AveragingNetwork, TracksDriftingValuesAcrossEpochs) {
+TEST(EpochRestarts, AveragingTracksDriftingValuesAcrossEpochs) {
   Rng rng(10);
-  AveragingConfig config;
-  config.size = 200;
-  config.epoch_length = 25;
-  auto values = generate_values(ValueDistribution::kUniform, 200, rng);
-  AveragingNetwork net(config, values, 11);
-  const AveragingEpochReport first = net.run_epoch();
-  // Double the load on every node: next epoch must report the doubled mean.
-  for (NodeId i = 0; i < 200; ++i) net.set_value(i, values[i] * 2.0);
-  const AveragingEpochReport second = net.run_epoch();
-  EXPECT_NEAR(second.true_average, first.true_average * 2.0, 1e-12);
-  EXPECT_NEAR(second.est_mean, second.true_average, 1e-9);
+  const auto values = generate_values(ValueDistribution::kUniform, 200, rng);
+  Simulation sim = monitoring(values, 25, 11);
+  const EpochSummary first = sim.run_epoch();
+  // Double the load on every node: the next epoch reports the doubled mean.
+  for (NodeId i = 0; i < 200; ++i) sim.set_value(i, values[i] * 2.0);
+  const EpochSummary second = sim.run_epoch();
+  EXPECT_NEAR(second.truth, first.truth * 2.0, 1e-12);
+  EXPECT_NEAR(second.est_mean, second.truth, 1e-9);
+  std::vector<double> trace;
+  append_summary(trace, first);
+  append_summary(trace, second);
+  EXPECT_EQ(fingerprint(trace), 0xcc8727e48c88e0c5ULL);
 }
 
-TEST(AveragingNetwork, ValidatesInputs) {
-  AveragingConfig config;
-  config.size = 10;
-  EXPECT_THROW(AveragingNetwork(config, std::vector<double>(5, 0.0), 1),
+TEST(EpochRestarts, AveragingValidatesInputs) {
+  EXPECT_THROW(SimulationBuilder()
+                   .nodes(10)
+                   .epoch_length(30)
+                   .workload(WorkloadSpec::from_values(std::vector<double>(5)))
+                   .build(),
                ContractViolation);
-  AveragingNetwork net(config, std::vector<double>(10, 1.0), 1);
-  EXPECT_THROW(net.set_value(10, 0.0), ContractViolation);
+  Simulation sim = monitoring(std::vector<double>(10, 1.0), 30, 1);
+  EXPECT_THROW(sim.set_value(10, 0.0), ContractViolation);
 }
 
 }  // namespace

@@ -1,101 +1,15 @@
+// The message latency models of sim/event_engine.hpp: the one-way delay
+// distributions the event engine samples for every push and reply. The
+// calendar queue from the same header is tested in test_calendar_queue.cpp.
 #include "sim/event_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include "common/contract.hpp"
+#include "common/rng.hpp"
 
 namespace epiagg {
 namespace {
-
-TEST(EventEngine, StartsAtTimeZero) {
-  EventEngine engine;
-  EXPECT_DOUBLE_EQ(engine.now(), 0.0);
-  EXPECT_EQ(engine.pending(), 0u);
-}
-
-TEST(EventEngine, ExecutesInTimeOrder) {
-  EventEngine engine;
-  std::vector<int> order;
-  engine.schedule_at(3.0, [&] { order.push_back(3); });
-  engine.schedule_at(1.0, [&] { order.push_back(1); });
-  engine.schedule_at(2.0, [&] { order.push_back(2); });
-  engine.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
-}
-
-TEST(EventEngine, EqualTimesAreFifo) {
-  EventEngine engine;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) engine.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  engine.run_all();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventEngine, ScheduleAfterUsesCurrentTime) {
-  EventEngine engine;
-  double fired_at = -1.0;
-  engine.schedule_at(5.0, [&] {
-    engine.schedule_after(2.5, [&] { fired_at = engine.now(); });
-  });
-  engine.run_all();
-  EXPECT_DOUBLE_EQ(fired_at, 7.5);
-}
-
-TEST(EventEngine, RunUntilStopsAtBoundary) {
-  EventEngine engine;
-  int fired = 0;
-  engine.schedule_at(1.0, [&] { ++fired; });
-  engine.schedule_at(2.0, [&] { ++fired; });
-  engine.schedule_at(3.0, [&] { ++fired; });
-  engine.run_until(2.0);  // inclusive boundary
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
-  EXPECT_EQ(engine.pending(), 1u);
-  engine.run_until(10.0);
-  EXPECT_EQ(fired, 3);
-  EXPECT_DOUBLE_EQ(engine.now(), 10.0);  // clock advances to the horizon
-}
-
-TEST(EventEngine, EventsCanChainIndefinitely) {
-  EventEngine engine;
-  int ticks = 0;
-  std::function<void()> tick = [&] {
-    ++ticks;
-    engine.schedule_after(1.0, tick);
-  };
-  engine.schedule_at(0.0, tick);
-  engine.run_until(100.0);
-  EXPECT_EQ(ticks, 101);  // t = 0..100 inclusive
-}
-
-TEST(EventEngine, RejectsPastScheduling) {
-  EventEngine engine;
-  engine.schedule_at(5.0, [] {});
-  engine.run_all();
-  EXPECT_THROW(engine.schedule_at(1.0, [] {}), ContractViolation);
-  EXPECT_THROW(engine.schedule_after(-1.0, [] {}), ContractViolation);
-}
-
-TEST(EventEngine, RejectsNullCallback) {
-  EventEngine engine;
-  EXPECT_THROW(engine.schedule_at(1.0, nullptr), ContractViolation);
-}
-
-TEST(EventEngine, CountsProcessedEvents) {
-  EventEngine engine;
-  for (int i = 0; i < 7; ++i) engine.schedule_at(static_cast<double>(i), [] {});
-  engine.run_all();
-  EXPECT_EQ(engine.events_processed(), 7u);
-}
-
-TEST(EventEngine, RunNextReturnsFalseWhenDrained) {
-  EventEngine engine;
-  EXPECT_FALSE(engine.run_next());
-  engine.schedule_at(1.0, [] {});
-  EXPECT_TRUE(engine.run_next());
-  EXPECT_FALSE(engine.run_next());
-}
 
 TEST(LatencyModels, ConstantAndBounds) {
   Rng rng(1);
@@ -125,22 +39,6 @@ TEST(LatencyModels, ExponentialMean) {
   for (int i = 0; i < kDraws; ++i) sum += latency.sample(rng);
   EXPECT_NEAR(sum / kDraws, 0.2, 0.005);
   EXPECT_THROW(ExponentialLatency(0.0), ContractViolation);
-}
-
-TEST(LossModel, FrequencyAndEdgeCases) {
-  Rng rng(4);
-  LossModel loss(0.25);
-  int lost = 0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i)
-    if (loss.lost(rng)) ++lost;
-  EXPECT_NEAR(static_cast<double>(lost) / kDraws, 0.25, 0.01);
-
-  LossModel none(0.0);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(none.lost(rng));
-  LossModel all(1.0);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(all.lost(rng));
-  EXPECT_THROW(LossModel(1.5), ContractViolation);
 }
 
 }  // namespace

@@ -2,11 +2,10 @@
 // SimEventEngine scheduling contract (time order, FIFO among equal times,
 // inclusive run_until boundaries, rejection of past scheduling, the
 // processed-event count), the payload arenas (sim/payload_arena.hpp) that
-// keep in-flight messages heap-free in the steady state, the kControl
-// escape hatch, and the message latency models. Pins the recycling
-// contracts a use-after-release or stale-index bug would break — these
-// tests run under ASan+UBSan in CI, where such a bug turns into a hard
-// failure instead of silent corruption.
+// keep in-flight messages heap-free in the steady state, and the kControl
+// escape hatch. Pins the recycling contracts a use-after-release or
+// stale-index bug would break — these tests run under ASan+UBSan in CI,
+// where such a bug turns into a hard failure instead of silent corruption.
 #include "sim/sim_events.hpp"
 
 #include <gtest/gtest.h>
@@ -253,36 +252,6 @@ TEST(SimEvents, OrphanedInFlightTrafficRecyclesDeterministically) {
             0xf1e9bb5d2b3e0fc9ULL);
   EXPECT_EQ(run(97), golden);
   EXPECT_NE(run(96).second, golden.second);
-}
-
-TEST(LatencyModels, ConstantAndBounds) {
-  Rng rng(1);
-  ConstantLatency zero(0.0);
-  EXPECT_DOUBLE_EQ(zero.sample(rng), 0.0);
-  ConstantLatency fixed(0.25);
-  EXPECT_DOUBLE_EQ(fixed.sample(rng), 0.25);
-  EXPECT_THROW(ConstantLatency(-1.0), ContractViolation);
-}
-
-TEST(LatencyModels, UniformWithinRange) {
-  Rng rng(2);
-  UniformLatency latency(0.1, 0.3);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = latency.sample(rng);
-    EXPECT_GE(d, 0.1);
-    EXPECT_LT(d, 0.3);
-  }
-  EXPECT_THROW(UniformLatency(0.3, 0.1), ContractViolation);
-}
-
-TEST(LatencyModels, ExponentialMean) {
-  Rng rng(3);
-  ExponentialLatency latency(0.2);
-  double sum = 0.0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i) sum += latency.sample(rng);
-  EXPECT_NEAR(sum / kDraws, 0.2, 0.005);
-  EXPECT_THROW(ExponentialLatency(0.0), ContractViolation);
 }
 
 }  // namespace
