@@ -140,7 +140,7 @@ void BM_CalendarQueueHold(benchmark::State& state) {
 BENCHMARK(BM_CalendarQueueHold)->Arg(10000)->Arg(300000)->Arg(1000000);
 
 /// One Δt of the full event-engine push-pull run (typed records, arena
-/// payloads, batched same-timestamp delivery) — the end-to-end number the
+/// payloads, per-delivery merges) — the end-to-end number the
 /// event_scalability sweep tracks, in per-cycle units.
 void BM_EventCycle(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

@@ -7,7 +7,7 @@
 // elementary combiner merges each plane, and how to seed/read/decay that
 // state. Simulations declare instances via AggregatorSpec; the builder
 // flattens them into an AggregatorPlan whose plane_combiners() vector is
-// exactly what NodeStateStore::apply_exchanges / apply_deliveries already
+// exactly what NodeStateStore::apply_exchanges and the event-engine merge
 // execute — the SoA plane layout and the 48-byte event-record fast path
 // are untouched, and the three legacy combiners are ordinary registry
 // entries with unchanged FP expressions.

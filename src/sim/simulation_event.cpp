@@ -20,9 +20,7 @@
 // Payloads ride inline in the record (single plane, push-sum halves) or in
 // a recycled arena slot (sim/payload_arena.hpp) released when the record
 // pops, delivered or not, so orphaned traffic recycles like delivered
-// traffic. The same-timestamp merge writes of the averaging impl batch
-// through NodeStateStore::apply_deliveries; RNG draws stay per-event in pop
-// order, so streams and audit ledgers are unchanged.
+// traffic. Each delivery merges into its target as it pops.
 //
 // Three impls cover the protocol family:
 //
@@ -299,17 +297,6 @@ public:
     // Multi-width instances seed through their init kernels BEFORE any
     // snapshot below.
     seed_initial_state(store_, plan_, initial);
-    // Merges are order-independent ACROSS nodes (each touches one target per
-    // plane), so same-timestamp deliveries batch through apply_deliveries —
-    // except when the merge itself is stateful: adaptive nodes snapshot and
-    // re-tag mid-timestamp, and a mitigating adversary folds history into
-    // every update. Those run unbatched. So do runs without a latency model:
-    // every delivery then pops at its initiator's wake time, wake times never
-    // coincide, and a batch would hold a single exchange — the per-node dirty
-    // stamps and per-event flushes cost ~20% of throughput at N = 2·10^5
-    // with nothing to amortize them over.
-    batching_ = spec_.latency != nullptr && !spec_.adaptive &&
-                !(spec_.adversary != nullptr && spec_.adversary->mitigating());
     generations_.assign(initial.size(), 0);
     if (spec_.adaptive) nodes_.resize(initial.size());
     for (NodeId id = 0; id < initial.size(); ++id) alive_.insert(id);
@@ -402,18 +389,8 @@ public:
     return admit_adaptive_joiner(value);
   }
 
-  void run_time(SimTime until) override {
-    EventMessagingImpl::run_time(until);
-    // External reads (variance(), the planes, observers between runs) must
-    // see every merge applied.
-    flush_batch();
-  }
-
 protected:
   void handle(SimEventRecord& event) override {
-    // The batch covers ONE timestamp: the first event at a later time
-    // retires it (deliveries landing at this time defer their merges anew).
-    if (!batch_targets_.empty() && engine_.now() != batch_time_) flush_batch();
     switch (event.kind) {
       case EvKind::kPush:
         deliver_push(event);
@@ -441,10 +418,6 @@ protected:
   }
 
   void on_integer_time(std::size_t t) override {
-    // Deliveries scheduled long ago can pop at exactly integer time t BEFORE
-    // this tick (their sequence numbers predate it); the per-cycle report,
-    // the epoch boundary and the churn that follow must see them applied.
-    flush_batch();
     const RunningStats stats = participant_stats();
     samples_.emplace_back(static_cast<SimTime>(t), stats.variance(), stats.mean());
     if (observed()) {
@@ -479,7 +452,6 @@ protected:
   void on_tick(std::size_t t) override {
     EventMessagingImpl::on_tick(t);
     if (!spec_.workload.is_time_varying() && !plan_.has_dynamics()) return;
-    flush_batch();  // both passes read/write planes: pending merges first
     // Time-varying attributes evolve once per integer time, for the
     // (t, t+1] window about to run — the event-engine mirror of the cycle
     // impls' start-of-cycle evolution. Config-constant dynamics flag: a
@@ -669,7 +641,6 @@ private:
   /// Stages what node `id` puts on the wire — its state, or its lie — into
   /// the record: inline for a single plane, in an arena row otherwise.
   void stage_outgoing(NodeId id, SimEventRecord& event) {
-    read_barrier(id);  // the wire carries merges already popped at this time
     const bool lie = spec_.adversary != nullptr && spec_.adversary->lying() &&
                      spec_.adversary->adversarial(id);
     if (combiners_.size() == 1) {
@@ -696,40 +667,6 @@ private:
     // Released whether the message was delivered or dropped stale: orphaned
     // in-flight payloads recycle exactly like delivered ones.
     if (event.slab != kNoSlab) payloads_.release(event.slab);
-  }
-
-  // ---- same-timestamp delivery batching ----
-
-  /// Routes one delivery's merge: deferred into the current batch when
-  /// batching, applied immediately otherwise. RNG draws are untouched — only
-  /// the state WRITES move (to flush_batch, still in pop order per node).
-  void apply_incoming(NodeId id, std::span<const double> values) {
-    if (!batching_) {
-      merge(id, values);
-      return;
-    }
-    if (batch_targets_.empty()) batch_time_ = engine_.now();
-    if (dirty_.size() <= id) dirty_.resize(id + 1, 0);
-    dirty_[id] = flush_epoch_;
-    batch_targets_.push_back(id);
-    batch_values_.insert(batch_values_.end(), values.begin(), values.end());
-  }
-
-  /// Flushes the batch before a READ of `id`'s planes mid-timestamp. Other
-  /// nodes' pending merges never affect `id`'s values, so a clean node reads
-  /// straight through (the stamp check is O(1); ++flush_epoch_ un-dirties
-  /// every node at once).
-  void read_barrier(NodeId id) {
-    if (batch_targets_.empty()) return;
-    if (id < dirty_.size() && dirty_[id] == flush_epoch_) flush_batch();
-  }
-
-  void flush_batch() {
-    if (batch_targets_.empty()) return;
-    store_.apply_deliveries(combiners_, batch_targets_, batch_values_);
-    batch_targets_.clear();
-    batch_values_.clear();
-    ++flush_epoch_;
   }
 
   void merge(NodeId id, std::span<const double> values) {
@@ -796,7 +733,7 @@ private:
     reply.gen_a = push.gen_a;
     reply.tag = push.tag;
     stage_outgoing(to, reply);
-    apply_incoming(to, payload_view(push));
+    merge(to, payload_view(push));
     if (observed()) notify_exchange(from, to);
     if (message_lost()) {
       release_payload(reply);
@@ -814,7 +751,7 @@ private:
     } else if (epoch_length_ > 0 && reply.tag != epoch_id_) {
       return;
     }
-    apply_incoming(to, payload_view(reply));
+    merge(to, payload_view(reply));
   }
 
   // ---- adaptive epochs ----
@@ -883,12 +820,6 @@ private:
   std::shared_ptr<const Topology> topology_;
   NodeStateStore store_;
   SlabArena<double> payloads_;        // multi-plane in-flight messages
-  bool batching_ = false;             // same-timestamp merge batching
-  std::vector<NodeId> batch_targets_;
-  std::vector<double> batch_values_;  // delivery-major, stride = slot count
-  std::vector<std::uint64_t> dirty_;  // dirty_[id] == flush_epoch_: pending
-  std::uint64_t flush_epoch_ = 1;
-  SimTime batch_time_ = 0.0;          // the timestamp the batch covers
   std::vector<AdaptiveState> nodes_;  // adaptive mode only
   std::vector<AsyncSample> samples_;
   std::vector<AdaptiveEpochSample> adaptive_samples_;

@@ -219,9 +219,10 @@ TEST(CalendarQueue, ShrinkThenRegrowReusesSlots) {
 
 TEST(CalendarQueue, PooledSlotsReleasePayloads) {
   // A non-trivial payload: CalendarQueue is a template, and a payload that
-  // owns a resource must be released when its entry pops. The test keeps the original of every payload, keyed by sequence: while
-  // pending, the queue holds exactly one more reference; once popped, the
-  // queue holds none, and a recycled slot never hands back an old payload.
+  // owns a resource must be released when its entry pops. The test keeps
+  // the original of every payload, keyed by sequence: while pending, the
+  // queue holds exactly one more reference; once popped, the queue holds
+  // none, and a recycled slot never hands back an old payload.
   using SharedQueue = CalendarQueue<std::shared_ptr<int>>;
   Rng rng(77);
   std::vector<std::shared_ptr<int>> originals;
